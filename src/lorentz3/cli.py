@@ -52,6 +52,7 @@ from .lie_core import (
     Derivation,
     HomothetyInput,
     UnimodularInput,
+    _as_matrix,
     as_rational,
     is_derivation,
 )
@@ -72,6 +73,7 @@ _PRECONDITIONS = {
     "HomothetyInput": "the quotient action is not a homothety",
     "DegeneratePlane": "the tangent plane is non-degenerate",
     "ZeroDivisionError": "input data is non-degenerate",
+    "OverflowError": "every number is finite and fits in a float",
     "ValueError": "input satisfies the documented preconditions",
 }
 
@@ -110,17 +112,8 @@ def _parse_derivation(text: str) -> tuple[Derivation, bool]:
     path = Path(text)
     if path.exists():
         text = path.read_text(encoding="utf-8")
-    rows = json.loads(text)
-    rationalized = False
-    parsed = []
-    for row in rows:
-        out = []
-        for entry in row:
-            q, snapped = as_rational(entry)
-            rationalized = rationalized or snapped
-            out.append(q)
-        parsed.append(out)
-    d = Derivation.from_rows(parsed)
+    matrix, rationalized = _as_matrix(json.loads(text))
+    d = Derivation(matrix)
     if not is_derivation(d):
         raise ValueError(
             "matrix violates the derivation law: the Z column must equal (A_XX + A_YY, 0, 0)"
@@ -469,6 +462,7 @@ def main(argv=None) -> int:
         HomothetyInput,
         ValueError,
         ZeroDivisionError,
+        OverflowError,
     ) as exc:
         payload = {
             "error": {

@@ -474,6 +474,8 @@ def completeness_report(
     seed: int = 12345,
     horizon: float = DEFAULT_HORIZON,
 ) -> CompletenessReport:
+    if count < 1:
+        raise ValueError(f"count = {count}: a verdict needs at least one sample")
     rng = np.random.default_rng(seed)
     verdicts = {}
     for family in families:

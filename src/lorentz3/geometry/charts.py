@@ -19,6 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .findiff import partial_derivative
+
 U, V, Xc = 0, 1, 2
 
 
@@ -73,11 +75,11 @@ class Constant:
 
 
 def _numeric_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
+    """f' by the oracle's Richardson difference, step 1e-5 * max(1, |u|)."""
+
     def df(u: float, _f=f) -> float:
-        h = 1e-5 * max(1.0, abs(u))
-        d1 = (_f(u + h / 2) - _f(u - h / 2)) / h
-        d2 = (_f(u + h) - _f(u - h)) / (2 * h)
-        return (4.0 * d1 - d2) / 3.0
+        step = 1e-5 * max(1.0, abs(u))
+        return float(partial_derivative(lambda p: _f(float(p[0])), (u,), 0, step))
 
     return df
 

@@ -29,6 +29,7 @@ from .charts import (
     U,
     V,
     Xc,
+    _numeric_derivative,
     check_domain,
     inverse_metric_at,
     metric_at,
@@ -60,7 +61,8 @@ def christoffels(chart: Chart, point) -> np.ndarray:
 
 
 def brinkmann_profile_value(chart: RosenChart, u: float) -> float:
-    """H(u) of the Brinkmann form equivalent to a Rosen chart."""
+    """H(u) = delta''/(2 delta) - delta'^2/(4 delta^2), the profile of the
+    Brinkmann form equivalent to a Rosen chart."""
     d = chart.delta(u)
     dd = chart.ddelta(u)
     d2 = chart.d2delta(u)
@@ -71,11 +73,7 @@ def _brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
     if chart.alpha is not None:
         a = chart.alpha
         return -2.0 * (a * a - a) / u**3
-    h = 1e-5 * max(1.0, abs(u))
-    f = lambda s: brinkmann_profile_value(chart, s)
-    d1 = (f(u + h / 2) - f(u - h / 2)) / h
-    d2 = (f(u + h) - f(u - h)) / (2 * h)
-    return (4.0 * d1 - d2) / 3.0
+    return _numeric_derivative(lambda s: brinkmann_profile_value(chart, s))(u)
 
 
 def _uxux_tensor(value: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .charts import Chart, PowerLaw, RosenChart, metric_at
+from .curvature import brinkmann_profile_value
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,7 @@ def general_rosen_to_brinkmann(chart: RosenChart) -> GeneralBrinkmannProfile:
     """Brinkmann profile H(u) = delta''/(2 delta) - delta'^2/(4 delta^2)."""
 
     def h(u: float) -> float:
-        d = chart.delta(u)
-        dd = chart.ddelta(u)
-        return chart.d2delta(u) / (2.0 * d) - dd * dd / (4.0 * d * d)
+        return brinkmann_profile_value(chart, u)
 
     def c(u: float) -> float:
         return chart.ddelta(u) / (4.0 * chart.delta(u))

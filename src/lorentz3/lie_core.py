@@ -66,7 +66,14 @@ def as_rational(value) -> tuple[Fraction, bool]:
 
 
 def _as_matrix(rows: Iterable[Iterable]) -> tuple[Matrix3, bool]:
-    rows = [list(r) for r in rows]
+    """Exact 3x3 matrix plus the rationalized flag of :func:`as_rational`.
+
+    A bad shape or a bad entry raises ValueError, whatever the input type.
+    """
+    try:
+        rows = [list(r) for r in rows]
+    except TypeError:
+        raise ValueError("expected a 3x3 matrix") from None
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 matrix")
     rationalized = False
@@ -74,7 +81,10 @@ def _as_matrix(rows: Iterable[Iterable]) -> tuple[Matrix3, bool]:
     for r in rows:
         vals = []
         for entry in r:
-            q, snapped = as_rational(entry)
+            try:
+                q, snapped = as_rational(entry)
+            except TypeError as exc:
+                raise ValueError(str(exc)) from None
             rationalized = rationalized or snapped
             vals.append(q)
         out.append(tuple(vals))
@@ -364,9 +374,7 @@ def extend_algebra(a: Derivation) -> ExtensionAlgebra:
             table[T][w][k] = img[k]
             table[w][T][k] = -img[k]
     frozen = tuple(tuple(tuple(vec) for vec in row) for row in table)
-    alg = ExtensionAlgebra(frozen)
-    assert jacobi_residual(alg) == 0
-    return alg
+    return ExtensionAlgebra(frozen)
 
 
 def direct_sum_abelian() -> ExtensionAlgebra:
@@ -477,24 +485,33 @@ class CanonicalForm:
     scale: Fraction
 
 
-def normalize_to_canonical(a: Derivation) -> CanonicalForm:
-    """Rescale and conjugate a derivation with A(Z) != 0 to the normal form
-    [[1,0,0],[0,0,1],[0,b,1]].
+def invariant_b(a: Derivation) -> Fraction:
+    """b = -det(A-bar) / tr(A-bar)^2, the isomorphism invariant of the
+    non-unimodular extensions.
 
-    The invariant is b = -det(A-bar) / tr(A-bar)^2: scaling the central
-    eigenvalue to 1 divides the quotient determinant by tr^2, and the normal
-    form has quotient block [[0,1],[b,1]] with determinant -b.
+    Scaling the central eigenvalue to 1 divides the quotient determinant by
+    tr^2, and the normal form has quotient block [[0,1],[b,1]] with
+    determinant -b.  Defined whenever tr(A-bar) != 0.  A homothety quotient
+    action (repeated eigenvalue, diagonalizable) yields the formula value
+    -1/4 although no invariant metric and no canonical form exist for it;
+    callers reject that case separately.
     """
     if not is_derivation(a):
         raise ValueError("not a derivation")
     tr = a.trace_quotient
     if tr == 0:
-        raise UnimodularInput(
-            "tr(A-bar) = 0: unimodular input has no canonical form of this type"
-        )
+        raise UnimodularInput("b is defined only for tr(A-bar) != 0")
+    return -a.det_quotient / tr**2
+
+
+def normalize_to_canonical(a: Derivation) -> CanonicalForm:
+    """Rescale and conjugate a derivation with A(Z) != 0 to the normal form
+    [[1,0,0],[0,0,1],[0,b,1]] with b = :func:`invariant_b`."""
+    b = invariant_b(a)
     if is_homothety_on_quotient(a):
         raise HomothetyInput(
             "quotient action is a homothety; not conjugate to any canonical form"
         )
-    b = -a.det_quotient / tr**2
-    return CanonicalForm(derivation=Derivation.canonical(b), b=b, scale=1 / tr)
+    return CanonicalForm(
+        derivation=Derivation.canonical(b), b=b, scale=1 / a.trace_quotient
+    )

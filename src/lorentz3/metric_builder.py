@@ -5,7 +5,9 @@ Given a derivation ``A`` and a non-central isotropy generator
 ``W = gamma Z + alpha X + beta Y``, the quotient carries an invariant
 Lorentz metric exactly when the class of ``W`` in heis/Z is *not* an
 eigenvector of the induced quotient action -- equivalently, when ``ad_W``
-acting modulo ``W`` is nilpotent of order exactly 3.
+acting modulo ``W`` is nilpotent of order exactly 3.  The first criterion
+decides; the second (:func:`_nilpotency_order_mod_w`) is the reference the
+verify registry and the tests compare it with.
 
 When the metric exists, it is represented on the ad_W-invariant complement
 ``m = span(T, Y', Z)`` with ``Y' = A(W)``.  On that basis::
@@ -31,6 +33,7 @@ from .lie_core import (
     IsotropyChoice,
     Vec3,
     as_rational,
+    # perfbench/layers.py traces this name in this module.
     extend_algebra,
     is_derivation,
     spectrum_on_quotient,
@@ -58,7 +61,7 @@ def twist_coefficient(a: Derivation, w: IsotropyChoice) -> Fraction:
 def _nilpotency_order_mod_w(a: Derivation, w: IsotropyChoice) -> int:
     """Order of ad_W acting on the 4-dim extension modulo the line R W.
 
-    Brute-force cross-check for the eigenvector criterion: computes the
+    Brute-force reference for the eigenvector criterion: computes the
     induced nilpotent map on a complement of R W and finds the least n
     with (ad_W mod W)^n = 0.
     """
@@ -100,19 +103,13 @@ def _nilpotency_order_mod_w(a: Derivation, w: IsotropyChoice) -> int:
 def admits_metric(a: Derivation, w: IsotropyChoice) -> bool:
     """True iff the quotient by exp(t W) carries an invariant Lorentz metric.
 
-    Decided by the eigenvector criterion on heis/Z and cross-checked against
-    the nilpotency order of ad_W modulo W (they agree identically; the
-    cross-check guards the implementation, not the mathematics).
+    Decided by the eigenvector criterion on heis/Z.  Its agreement with the
+    nilpotency order of ad_W modulo W is checked by ``metric-criteria-agree``
+    and the tests, not on every call.
     """
     if not is_derivation(a):
         raise ValueError("not a derivation")
-    by_eigenvector = twist_coefficient(a, w) != 0
-    by_nilpotency = _nilpotency_order_mod_w(a, w) == 3
-    if by_eigenvector != by_nilpotency:
-        raise AssertionError(
-            "eigenvector and nilpotency criteria disagree; implementation bug"
-        )
-    return by_eigenvector
+    return twist_coefficient(a, w) != 0
 
 
 @dataclass(frozen=True)
@@ -221,9 +218,7 @@ def build_invariant_metric(
         (zero, alpha, zero),
         (c, zero, zero),
     )
-    metric = InvariantMetric(gram=gram, yprime=yprime, scale_alpha=alpha)
-    assert skew_residual(metric, ad_w_matrix_on_m(a, w)) == 0
-    return metric
+    return InvariantMetric(gram=gram, yprime=yprime, scale_alpha=alpha)
 
 
 def ad_w_matrix_on_m(a: Derivation, w: IsotropyChoice):

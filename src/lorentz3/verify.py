@@ -77,9 +77,11 @@ from .lie_core import (
     spectrum_on_quotient,
 )
 from .metric_builder import (
+    _nilpotency_order_mod_w,
     ad_w_matrix_on_m,
     admits_metric,
     build_invariant_metric,
+    has_transverse_subalgebra,
     skew_residual,
     twist_coefficient,
 )
@@ -103,41 +105,44 @@ class CheckResult:
     elapsed: float
 
 
-_REGISTRY: list[tuple[str, str, Callable]] = []
+# check name -> (suite tag, check function), in registration order
+_REGISTRY: dict[str, tuple[str, Callable]] = {}
 
 
 def check(name: str, suite: str):
     def wrap(fn):
-        _REGISTRY.append((name, suite, fn))
+        _REGISTRY[name] = (suite, fn)
         return fn
 
     return wrap
 
 
+def check_names(suite: str = "all") -> list[str]:
+    return [name for name, (tag, _) in _REGISTRY.items() if suite in ("all", tag)]
+
+
+def run_check(name: str, tol: Optional[float] = None) -> CheckResult:
+    tag, fn = _REGISTRY[name]
+    start = time.perf_counter()
+    try:
+        passed, detail = fn(tol)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(
+        name=name,
+        suite=tag,
+        passed=bool(passed),
+        detail=detail,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def run_suite(suite: str = "all", tol: Optional[float] = None) -> list[CheckResult]:
-    results = []
-    for name, tag, fn in _REGISTRY:
-        if suite not in ("all", tag):
-            continue
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(tol)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                name=name,
-                suite=tag,
-                passed=bool(passed),
-                detail=detail,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return results
+    return [run_check(name, tol) for name in check_names(suite)]
 
 
 def suite_names() -> list[str]:
-    return sorted({tag for _, tag, _ in _REGISTRY} | {"all"})
+    return sorted({tag for tag, _ in _REGISTRY.values()} | {"all"})
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +523,12 @@ def _metric_criteria_agree(tol):
         if alpha == 0 and beta == 0:
             continue
         trials += 1
-        admits_metric(a, IsotropyChoice.of(gamma, alpha, beta))  # raises on disagreement
+        w = IsotropyChoice.of(gamma, alpha, beta)
+        by_eigenvector = twist_coefficient(a, w) != 0
+        if admits_metric(a, w) != by_eigenvector:
+            return False, f"admits_metric departs from the eigenvector criterion for {a.matrix}, W={w}"
+        if by_eigenvector != (_nilpotency_order_mod_w(a, w) == 3):
+            return False, f"eigenvector and nilpotency criteria disagree for {a.matrix}, W={w}"
     return True, f"eigenvector and nilpotency-order criteria agree on {trials} random rational cases"
 
 
@@ -673,6 +683,11 @@ def _flags_vs_geometry(tol):
         )
         if rep.locally_symmetric != (nr <= 1e-5):
             problems.append(f"{rep.space_class}: locally_symmetric flag vs del R = {nr:.2e}")
+        if rep.transverse_3d_group != has_transverse_subalgebra(a):
+            problems.append(f"{rep.space_class}: transverse_3d_group flag vs quotient spectrum")
     if problems:
         return False, "; ".join(problems)
-    return True, "flat and locally_symmetric flags match chart curvature and del R on every class"
+    return True, (
+        "flat, locally_symmetric and transverse_3d_group flags match chart curvature, "
+        "del R and the quotient spectrum on every class"
+    )

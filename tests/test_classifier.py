@@ -16,14 +16,45 @@ from lorentz3.classifier import (
 from lorentz3.geometry import Constant, PowerLaw
 from lorentz3.lie_core import (
     Derivation,
+    IsotropyChoice,
     UnimodularInput,
+    compose_automorphisms,
     conjugate_derivation,
     diagonal_automorphism,
+    extend_algebra,
+    inner_automorphism,
+    is_homothety_on_quotient,
+    jacobi_residual,
+    rotation_scale_automorphism,
     shear_automorphism,
 )
-from lorentz3.metric_builder import NoInvariantMetric
+from lorentz3.metric_builder import (
+    InvariantMetric,
+    NoInvariantMetric,
+    _nilpotency_order_mod_w,
+    ad_w_matrix_on_m,
+    has_transverse_subalgebra,
+    skew_residual,
+    twist_coefficient,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_small = small.filter(lambda q: q != 0)
+
+non_homothety_derivations = st.builds(
+    lambda p, q, r, s, zx, zy: Derivation.from_rows(
+        [[p + s, zx, zy], [0, p, q], [0, r, s]]
+    ),
+    *(rationals,) * 6,
+).filter(lambda a: not is_homothety_on_quotient(a))
+
+automorphisms = st.one_of(
+    st.builds(diagonal_automorphism, nonzero_small, nonzero_small),
+    st.builds(shear_automorphism, small),
+    st.builds(rotation_scale_automorphism, small, nonzero_small),
+    st.builds(inner_automorphism, small, small),
+)
 
 
 class TestInvariantB:
@@ -182,6 +213,25 @@ class TestSpaceReport:
         gram = rep.invariant_metric["gram"]
         assert gram[0][2] == "-1"
         assert rep.invariant_metric["signature"] == {"plus": 2, "minus": 1, "zero": 0}
+
+    @given(non_homothety_derivations, automorphisms, automorphisms)
+    @settings(max_examples=60, deadline=None)
+    def test_report_invariants_on_conjugated_derivations(self, a, phi, psi):
+        # the checks that once ran inside space_report, on a superset of
+        # the inputs they saw there
+        a = conjugate_derivation(a, compose_automorphisms(phi, psi))
+        rep = space_report(a)
+        assert jacobi_residual(extend_algebra(a)) == 0
+        metric = rep.invariant_metric
+        w = IsotropyChoice.of(*metric["isotropy_generator"])
+        assert twist_coefficient(a, w) != 0
+        assert _nilpotency_order_mod_w(a, w) == 3
+        built = InvariantMetric(
+            gram=tuple(tuple(Fraction(e) for e in row) for row in metric["gram"]),
+            yprime=tuple(Fraction(c) for c in metric["yprime_in_heis"]),
+        )
+        assert skew_residual(built, ad_w_matrix_on_m(a, w)) == 0
+        assert rep.transverse_3d_group == has_transverse_subalgebra(a)
 
     def test_json_round_trip_fields(self):
         payload = space_report(Derivation.canonical(Fraction(-1, 2))).to_json()

@@ -69,12 +69,26 @@ class TestClassify:
         assert excinfo.value.code == 2
 
     def test_math_error_gives_json_and_exit_one(self, capsys, schema_validator):
-        bad = json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-        code, out = run_cli(capsys, "classify", "--derivation", bad)
-        assert code == 1
-        payload = json.loads(out)
-        schema_validator("error", payload)
-        assert payload["error"]["type"] == "NoInvariantMetric"
+        homothety = json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        cases = [
+            (("classify", "--derivation", homothety), "NoInvariantMetric"),
+            (("classify", "--derivation", "5"), "ValueError"),
+            (("classify", "--derivation", "[1,2,3]"), "ValueError"),
+            (("classify", "--derivation", "[[true,0,0],[0,1,0],[0,0,0]]"), "ValueError"),
+            (("classify", "--derivation", "[[null,0,0],[0,1,0],[0,0,0]]"), "ValueError"),
+            (("classify", "--derivation", "[[1e400,0,0],[0,1,0],[0,0,0]]"), "OverflowError"),
+            (("classify", "--b", "inf"), "OverflowError"),
+            (("classify", "--b", "1e400"), "OverflowError"),
+            (("classify", "--alpha", "inf"), "OverflowError"),
+            (("survey", "--b-grid", "inf"), "OverflowError"),
+            (("geodesic", "--b", "2", "--family", "timelike", "--count", "0"), "ValueError"),
+        ]
+        for argv, error_type in cases:
+            code, out = run_cli(capsys, *argv)
+            assert code == 1, argv
+            payload = json.loads(out)
+            schema_validator("error", payload)
+            assert payload["error"]["type"] == error_type, argv
 
     def test_output_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "classify", "--b", "-1/2")

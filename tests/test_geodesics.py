@@ -172,6 +172,11 @@ class TestCompleteness:
             for rec in fam.details:
                 assert rec["integrator_vs_closed_form_sup_rel_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("chart", [PowerLaw(2.0), Constant(1.0)])
+    def test_no_verdict_without_samples(self, chart):
+        with pytest.raises(ValueError):
+            geo.completeness_report(chart, families=("timelike",), count=0)
+
     def test_report_is_seed_deterministic(self):
         a = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
         b = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)

@@ -8,6 +8,7 @@ from lorentz3.lie_core import Derivation, IsotropyChoice
 from lorentz3.metric_builder import (
     InvariantMetric,
     NoInvariantMetric,
+    _nilpotency_order_mod_w,
     ad_w_matrix_on_m,
     admits_metric,
     build_invariant_metric,
@@ -51,9 +52,12 @@ class TestAdmitsMetric:
     @given(derivations, isotropy)
     @settings(max_examples=80)
     def test_criteria_agree_on_random_data(self, a, w):
-        # admits_metric raises internally if the eigenvector test and the
-        # nilpotency-order test ever disagree
-        admits_metric(a, IsotropyChoice.of(*w))
+        # the eigenvector test that admits_metric decides by, against the
+        # brute-force nilpotency order of ad_W modulo W
+        choice = IsotropyChoice.of(*w)
+        by_eigenvector = twist_coefficient(a, choice) != 0
+        assert admits_metric(a, choice) == by_eigenvector
+        assert by_eigenvector == (_nilpotency_order_mod_w(a, choice) == 3)
 
 
 class TestBuildInvariantMetric:
