@@ -6,9 +6,10 @@ the isometry class of the resulting homogeneous space (with the exact
 rational invariant b), realizes it in Brinkmann or Rosen coordinates, and
 verifies curvature, Killing, completeness, and compact-model claims both
 in closed form and against finite-difference oracles.
-"""
 
-from . import classifier, geodesics, geometry, lie_core, metric_builder
+Submodules are not imported here, so that commands which never integrate a
+geodesic do not load scipy; import the one you need.
+"""
 
 __version__ = "0.1.0"
 

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -30,10 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geodesics as geo
 from .classifier import SpaceClass, class_from_b, report_from_class, space_report
 from .geometry import (
-    Constant,
     DomainError,
     PowerLaw,
     RosenChart,
@@ -72,6 +71,7 @@ _PRECONDITIONS = {
     "UnimodularInput": "tr(A-bar) != 0",
     "HomothetyInput": "the quotient action is not a homothety",
     "DegeneratePlane": "the tangent plane is non-degenerate",
+    "ProfileNotFinite": "u is far enough from 0 that the profile H(u) and its derivative are finite floats",
     "ZeroDivisionError": "input data is non-degenerate",
     "OverflowError": "every number is finite and fits in a float",
     "ValueError": "input satisfies the documented preconditions",
@@ -88,7 +88,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True), out_path)
+    # inf and nan have no JSON spelling: refuse them (ValueError) rather
+    # than print Infinity or NaN
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), out_path)
 
 
 def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
@@ -109,9 +111,10 @@ def _parse_rational(text: str) -> tuple[Fraction, bool]:
 
 def _parse_derivation(text: str) -> tuple[Derivation, bool]:
     """JSON text or a path to a JSON file; row-major 3x3, basis (Z, X, Y)."""
-    path = Path(text)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
+    try:
+        text = Path(text).read_text(encoding="utf-8")
+    except (OSError, ValueError):  # no such file, or a name no file can have
+        pass
     matrix, rationalized = _as_matrix(json.loads(text))
     d = Derivation(matrix)
     if not is_derivation(d):
@@ -119,6 +122,23 @@ def _parse_derivation(text: str) -> tuple[Derivation, bool]:
             "matrix violates the derivation law: the Z column must equal (A_XX + A_YY, 0, 0)"
         )
     return d, rationalized
+
+
+class ProfileNotFinite(ValueError):
+    """u is so close to 0 that H(u) = b/u^2 or H'(u) is not a finite float
+    (u*u underflows below about 1e-162, u**3 below about 1e-108)."""
+
+
+def _check_profile_finite(chart, u: float) -> None:
+    if isinstance(chart, PowerLaw) and u > 0.0:  # u <= 0 is a DomainError
+        try:
+            finite = math.isfinite(chart.h(u)) and math.isfinite(chart.dh(u))
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise ProfileNotFinite(
+                f"u = {u} is too close to 0 for H(u) = {chart.b}/u^2 and H'(u) to be finite floats"
+            )
 
 
 def _parse_point(text: str) -> tuple[float, float, float]:
@@ -217,7 +237,9 @@ def _cmd_curvature(args, parser) -> int:
     if args.point is None and args.grid is None:
         parser.error("curvature needs --point or --grid")
     if args.point is not None:
-        report = curvature_report(chart, _parse_point(args.point))
+        point = _parse_point(args.point)
+        _check_profile_finite(chart, point[0])
+        report = curvature_report(chart, point)
         if report.symmetry_residual > tol:
             raise ValueError(
                 f"Riemann symmetry residual {report.symmetry_residual} exceeds tolerance {tol}"
@@ -232,6 +254,7 @@ def _cmd_curvature(args, parser) -> int:
         fields.append(boost_field())
     rows = []
     for p in grid:
+        _check_profile_finite(chart, p[0])
         max_r = float(np.max(np.abs(riemann_tensor(chart, p))))
         max_nabla = max(covariant_R_derivative(chart, p, d) for d in ("u", "v", "x"))
         k0 = killing_residual(chart, fields[0], [p])
@@ -246,6 +269,8 @@ def _cmd_curvature(args, parser) -> int:
 
 
 def _cmd_geodesic(args, parser) -> int:
+    from . import geodesics as geo  # scipy loads only for this command
+
     chart = _resolve_chart(args, parser)
     if isinstance(chart, RosenChart):
         parser.error("geodesic integration runs on Brinkmann charts (--b or --class)")
@@ -255,6 +280,7 @@ def _cmd_geodesic(args, parser) -> int:
         parts = [float(Fraction(p)) for p in args.init.split(",")]
         if len(parts) != 6:
             parser.error("--init expects u,v,x,du,dv,dx")
+        _check_profile_finite(chart, parts[0])
         state = geo.GeodesicState.of(*parts)
         res = geo.integrate_geodesic(chart, state, (0.0, args.span))
         _emit_csv(

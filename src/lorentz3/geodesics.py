@@ -11,6 +11,10 @@ Completeness verdicts are numerical *evidence*, never proofs, and the
 reports say so.  Incompleteness is certified by a domain-boundary hit at
 finite affine parameter, cross-checked against the exact affine law for u
 and the fitted closed-form transverse solution, not by integrator failure.
+
+Integration returns the trajectory only.  The conservation audit of the
+first integral g(gamma', gamma') is :func:`conservation_drift`, which the
+``geodesic-conservation-and-affine-u`` verify check and the tests call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ DEFAULT_U_MIN = 1e-8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_HORIZON = 1e4
-CONSERVATION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,15 +52,6 @@ def velocity_norm_sq(chart: Chart, state: GeodesicState) -> float:
     g = metric_at(chart, state.position)
     vel = np.asarray(state.velocity, dtype=float)
     return float(vel @ g @ vel)
-
-
-def _norm_term_scale(chart: Chart, state: GeodesicState) -> float:
-    """Magnitude of the individual terms of g(v, v): the honest scale for
-    conservation drift, since near a blow-up the norm is a cancellation of
-    large terms."""
-    g = metric_at(chart, state.position)
-    vel = np.asarray(state.velocity, dtype=float)
-    return float(np.sum(np.abs(np.outer(vel, vel) * g)))
 
 
 def causal_type(chart: Chart, state: GeodesicState) -> str:
@@ -91,21 +85,15 @@ class GeodesicResult:
     ``terminated`` is one of completed_span, hit_domain_boundary,
     step_underflow.  ``boundary_time`` holds the affine parameter of the
     u -> 0 hit when applicable, with ``predicted_boundary_time`` from the
-    exact affine law u(t) = u0 + du0 * t.
+    exact affine law u(t) = u0 + du0 * t.  The result carries no
+    self-check: :func:`conservation_drift` audits a trajectory on request.
     """
 
     times: np.ndarray
     states: np.ndarray  # shape (n, 6)
-    causal: str
     terminated: str
-    affine_span_reached: float
-    conservation_drift: float
     boundary_time: Optional[float] = None
     predicted_boundary_time: Optional[float] = None
-
-    def final_state(self) -> GeodesicState:
-        row = self.states[-1]
-        return GeodesicState(tuple(row[:3]), tuple(row[3:]))
 
     def csv_rows(self, chart: Chart) -> list[list[float]]:
         rows = []
@@ -131,8 +119,6 @@ def integrate_geodesic(
     """
     check_domain(chart, initial.position)
     y0 = initial.as_array()
-    causal = causal_type(chart, initial)
-    q0 = velocity_norm_sq(chart, initial)
 
     events = []
     if chart.half_space:
@@ -155,8 +141,6 @@ def integrate_geodesic(
         dense_output=False,
     )
 
-    times = sol.t
-    states = sol.y.T
     if sol.status == 1:
         terminated = "hit_domain_boundary"
         boundary_time = float(sol.t_events[0][0])
@@ -167,14 +151,6 @@ def integrate_geodesic(
         terminated = "step_underflow"
         boundary_time = None
 
-    drift = 0.0
-    for row in states:
-        st = GeodesicState(tuple(row[:3]), tuple(row[3:]))
-        if chart.half_space and not st.position[0] > 0:
-            continue
-        scale = max(1.0, abs(q0), _norm_term_scale(chart, st))
-        drift = max(drift, abs(velocity_norm_sq(chart, st) - q0) / scale)
-
     du0 = initial.velocity[0]
     predicted = None
     if chart.half_space and du0 != 0.0:
@@ -184,15 +160,37 @@ def integrate_geodesic(
             predicted = t_hit
 
     return GeodesicResult(
-        times=times,
-        states=states,
-        causal=causal,
+        times=sol.t,
+        states=sol.y.T,
         terminated=terminated,
-        affine_span_reached=float(abs(times[-1] - times[0])) if len(times) else 0.0,
-        conservation_drift=drift,
         boundary_time=boundary_time,
         predicted_boundary_time=predicted,
     )
+
+
+def _norm_term_scale(chart: Chart, state: GeodesicState) -> float:
+    """Magnitude of the individual terms of g(v, v): the honest scale for
+    conservation drift, since near a blow-up the norm is a cancellation of
+    large terms."""
+    g = metric_at(chart, state.position)
+    vel = np.asarray(state.velocity, dtype=float)
+    return float(np.sum(np.abs(np.outer(vel, vel) * g)))
+
+
+def conservation_drift(chart: Chart, initial: GeodesicState, result: GeodesicResult) -> float:
+    """Largest drift of the first integral g(gamma', gamma') from its value
+    at ``initial`` over the sampled rows of ``result``, each relative to
+    max(1, |q0|, the row's term scale); rows with u <= 0 on a half-space
+    chart are skipped."""
+    q0 = velocity_norm_sq(chart, initial)
+    drift = 0.0
+    for row in result.states:
+        st = GeodesicState(tuple(row[:3]), tuple(row[3:]))
+        if chart.half_space and not st.position[0] > 0:
+            continue
+        scale = max(1.0, abs(q0), _norm_term_scale(chart, st))
+        drift = max(drift, abs(velocity_norm_sq(chart, st) - q0) / scale)
+    return drift
 
 
 # ---------------------------------------------------------------------------

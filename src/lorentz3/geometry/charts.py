@@ -14,7 +14,7 @@ Coordinate order is fixed as (u, v, x) everywhere.  Two chart families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,9 +40,6 @@ class PowerLaw:
     def dh(self, u: float) -> float:
         return -2.0 * self.b / u**3
 
-    def d2h(self, u: float) -> float:
-        return 6.0 * self.b / u**4
-
     @property
     def half_space(self) -> bool:
         return True
@@ -61,9 +58,6 @@ class Constant:
         return self.h_value
 
     def dh(self, u: float) -> float:
-        return 0.0
-
-    def d2h(self, u: float) -> float:
         return 0.0
 
     @property
@@ -152,7 +146,6 @@ class RosenChart:
 
 
 Chart = PowerLaw | Constant | RosenChart
-BrinkmannChart = PowerLaw | Constant
 
 
 def check_domain(chart: Chart, point) -> None:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .charts import (
     Chart,
-    Constant,
-    PowerLaw,
     RosenChart,
     U,
     V,

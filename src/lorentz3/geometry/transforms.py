@@ -102,7 +102,6 @@ class GeneralBrinkmannProfile:
     """Brinkmann profile of a general Rosen chart, with the point map used."""
 
     h: Callable[[float], float]
-    quadratic_coefficient: Callable[[float], float]  # c(u) in v = v' + c x'^2
     point_map: CoordinateMap  # Brinkmann coords -> Rosen coords
 
 
@@ -135,7 +134,6 @@ def general_rosen_to_brinkmann(chart: RosenChart) -> GeneralBrinkmannProfile:
 
     return GeneralBrinkmannProfile(
         h=h,
-        quadratic_coefficient=c,
         point_map=CoordinateMap(to_rosen, to_rosen_jac, "brinkmann->rosen(general)"),
     )
 

@@ -127,8 +127,7 @@ class Derivation:
     The bracket law forces the Z column to be ``(tr(A-bar), 0, 0)`` where
     A-bar is the lower-right 2x2 block (the induced map on heis/Z); the
     constructor does not enforce this so that :func:`is_derivation` can be
-    asked about arbitrary matrices.  Use :meth:`checked` to build and
-    validate in one step.
+    asked about arbitrary matrices.
     """
 
     matrix: Matrix3
@@ -137,13 +136,6 @@ class Derivation:
     def from_rows(cls, rows: Iterable[Iterable]) -> "Derivation":
         m, _ = _as_matrix(rows)
         return cls(m)
-
-    @classmethod
-    def checked(cls, rows: Iterable[Iterable]) -> "Derivation":
-        d = cls.from_rows(rows)
-        if not is_derivation(d):
-            raise ValueError("matrix violates the derivation law of heis")
-        return d
 
     # -- standard families ------------------------------------------------
 

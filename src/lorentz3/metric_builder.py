@@ -25,7 +25,7 @@ removes ``g(T, T)``.  Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import (
@@ -116,19 +116,14 @@ def admits_metric(a: Derivation, w: IsotropyChoice) -> bool:
 class InvariantMetric:
     """Invariant Lorentz form on m = span(T, Y', Z), exact rationals.
 
-    ``yprime`` holds the heis coordinates of Y' = A(W).  ``shift_beta`` is
-    the g(T, T) value before the T -> T + delta Z normalization; it is
-    always normalized to 0 and recorded here.
+    ``yprime`` holds the heis coordinates of Y' = A(W).  The g(T, T) value
+    is always normalized to 0 by T -> T + delta Z, and the report records
+    that.
     """
 
     gram: tuple[tuple[Fraction, ...], ...]
     yprime: Vec3
     scale_alpha: Fraction = Fraction(1)
-    shift_beta: Fraction = Fraction(0)
-    basis_labels: tuple[str, str, str] = field(default=BASIS_LABELS)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.gram[i][j]
 
     def signature(self) -> tuple[int, int, int]:
         """(n_plus, n_minus, n_zero) by exact symmetric reduction."""
@@ -138,14 +133,9 @@ class InvariantMetric:
     def is_lorentz(self) -> bool:
         return self.signature() == (2, 1, 0)
 
-    def evaluate(self, u, v) -> Fraction:
-        uu = [as_rational(c)[0] for c in u]
-        vv = [as_rational(c)[0] for c in v]
-        return sum(uu[i] * self.gram[i][j] * vv[j] for i in range(3) for j in range(3))
-
     def to_report(self) -> dict:
         return {
-            "basis": list(self.basis_labels),
+            "basis": list(BASIS_LABELS),
             "yprime_in_heis": [str(c) for c in self.yprime],
             "gram": [[str(e) for e in row] for row in self.gram],
             "signature": {"plus": 2, "minus": 1, "zero": 0}

@@ -46,6 +46,15 @@ class TestClassify:
         assert payload["class"] == "NonUnimodularParabolic"
         assert payload["invariant_metric"]["gram"][0][2] == "-1"
 
+    def test_derivation_longer_than_a_file_name(self, capsys):
+        # the text is probed as a path first; a name past the OS limit must
+        # read as JSON, not raise
+        matrix = json.dumps([["2", "0", "0"], ["0", "1", "1"], ["0", "0", "1"]])
+        plain = run_cli(capsys, "classify", "--derivation", matrix)
+        padded = run_cli(capsys, "classify", "--derivation", matrix + " " * 300)
+        assert plain[0] == 0
+        assert padded == plain
+
     def test_decimal_string_is_exact(self, capsys, schema_validator):
         code, out = run_cli(capsys, "classify", "--b", "0.1")
         payload = json.loads(out)
@@ -82,6 +91,10 @@ class TestClassify:
             (("classify", "--alpha", "inf"), "OverflowError"),
             (("survey", "--b-grid", "inf"), "OverflowError"),
             (("geodesic", "--b", "2", "--family", "timelike", "--count", "0"), "ValueError"),
+            # u*u underflows to 0; u**3 underflows and H'(u) is inf
+            (("curvature", "--b", "2", "--point", "1e-200,0,0"), "ProfileNotFinite"),
+            (("curvature", "--b", "2", "--point", "1e-105,0,1"), "ProfileNotFinite"),
+            (("geodesic", "--b", "2", "--init", "1e-200,0,0,1,0,0"), "ProfileNotFinite"),
         ]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
@@ -89,6 +102,8 @@ class TestClassify:
             payload = json.loads(out)
             schema_validator("error", payload)
             assert payload["error"]["type"] == error_type, argv
+            if error_type == "ProfileNotFinite":
+                assert "far enough from 0" in payload["error"]["precondition"], argv
 
     def test_output_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "classify", "--b", "-1/2")

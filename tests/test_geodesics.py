@@ -53,15 +53,27 @@ class TestIntegration:
             PowerLaw(2.0), geo.GeodesicState.of(1, 0, 0, 0, 1, 0), (0.0, 1e4)
         )
         assert res.terminated == "completed_span"
-        assert res.affine_span_reached == pytest.approx(1e4)
+        assert res.times[-1] - res.times[0] == pytest.approx(1e4)
 
-    def test_u_is_affine_and_norm_conserved(self):
-        chart = PowerLaw(-0.5)
-        st_ = geo.GeodesicState.of(1.0, 0.0, 0.5, 1.0, -0.7, 0.3)
-        res = geo.integrate_geodesic(chart, st_, (0.0, 4.0))
+    @pytest.mark.parametrize(
+        "chart, du, span, terminated",
+        [
+            (PowerLaw(-0.5), 1.0, 4.0, "completed_span"),
+            (PowerLaw(2.0), -1.0, 5.0, "hit_domain_boundary"),  # forward into u -> 0
+            (PowerLaw(2.0), 1.0, -5.0, "hit_domain_boundary"),  # backward into u -> 0
+            (PowerLaw(-8.0), -1.0, 5.0, "hit_domain_boundary"),
+            (Constant(1.0), 1.0, 50.0, "completed_span"),
+            (Constant(-1.0), 1.0, 50.0, "completed_span"),
+        ],
+        ids=["b=-0.5", "b=2-forward-boundary", "b=2-backward-boundary", "b=-8-boundary", "h=1-span-50", "h=-1-span-50"],
+    )
+    def test_u_is_affine_and_norm_conserved(self, chart, du, span, terminated):
+        st_ = geo.GeodesicState.of(1.0, 0.0, 0.5, du, -0.7, 0.3)
+        res = geo.integrate_geodesic(chart, st_, (0.0, span))
+        assert res.terminated == terminated
         for t, row in zip(res.times, res.states):
-            assert row[0] == pytest.approx(1.0 + t, abs=1e-10)
-        assert res.conservation_drift <= 1e-8
+            assert row[0] == pytest.approx(1.0 + du * t, abs=1e-10)
+        assert geo.conservation_drift(chart, st_, res) <= 1e-8
 
     def test_backward_integration(self):
         chart = PowerLaw(2.0)

@@ -1,6 +1,9 @@
 """Guards on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lorentz3"
@@ -23,3 +26,25 @@ def test_package_has_no_assertions():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_classify_and_curvature_do_not_load_scipy():
+    # scipy backs the geodesic layer only; a fresh interpreter shows what
+    # the other commands import
+    code = (
+        "import contextlib, io, sys\n"
+        "from lorentz3.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['classify', '--b', '2']) == 0\n"
+        "    assert main(['curvature', '--b', '2', '--point', '1,0,0']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
