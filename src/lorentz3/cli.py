@@ -14,7 +14,7 @@ rational strings ("-1/4") are exact, floats are rationalized (denominator
 <= 10^6) and the report records that; usage errors exit 2, domain or math
 errors exit 1 with a JSON error object naming the violated precondition;
 output is byte-identical across repeated runs with the same config and seed.
-``LORENTZ3_TOL`` overrides the default tolerance where one applies.
+``LORENTZ3_TOL`` and ``verify --tol`` rescale only verify's oracle comparison.
 """
 
 from __future__ import annotations
@@ -27,19 +27,21 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import SpaceClass, class_from_b, report_from_class, space_report
 from .geometry import (
-    DomainError,
-    PowerLaw,
     RosenChart,
     boost_field,
+    brinkmann_profile_derivative,
+    brinkmann_profile_value,
     coordinate_field,
     curvature_report,
     covariant_R_derivative,
+    default_grid,
     heis_killing_fields,
     killing_residual,
     pullback_residual,
@@ -47,16 +49,8 @@ from .geometry import (
     rosen_to_brinkmann,
     roundtrip_residual,
 )
-from .lie_core import (
-    Derivation,
-    HomothetyInput,
-    UnimodularInput,
-    _as_matrix,
-    as_rational,
-    is_derivation,
-)
-from .metric_builder import NoInvariantMetric
-from .verify import oracle_tolerance, run_suite, suite_names
+from .lie_core import Derivation, _as_matrix, as_rational, is_derivation
+from .verify import run_suite, suite_names
 
 _CLASS_NAMES = {
     "MinkowskiFlat": SpaceClass("MinkowskiFlat"),
@@ -74,13 +68,21 @@ _PRECONDITIONS = {
     "ProfileNotFinite": "u is far enough from 0 that the profile H(u) and its derivative are finite floats",
     "ZeroDivisionError": "input data is non-degenerate",
     "OverflowError": "every number is finite and fits in a float",
+    "OutputNotWritable": "--out names a file that can be written",
     "ValueError": "input satisfies the documented preconditions",
 }
 
 
+class OutputNotWritable(ValueError):
+    """The --out path cannot be opened for writing."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputNotWritable(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -125,20 +127,31 @@ def _parse_derivation(text: str) -> tuple[Derivation, bool]:
 
 
 class ProfileNotFinite(ValueError):
-    """u is so close to 0 that H(u) = b/u^2 or H'(u) is not a finite float
-    (u*u underflows below about 1e-162, u**3 below about 1e-108)."""
+    """u is so close to 0 that the profile of a half-space chart is not a
+    finite float: H(u) = b/u^2 or H'(u) on PowerLaw (u*u underflows below
+    about 1e-162, u**3 below about 1e-108), delta(u), H(u) or H'(u) on a
+    Rosen chart."""
 
 
 def _check_profile_finite(chart, u: float) -> None:
-    if isinstance(chart, PowerLaw) and u > 0.0:  # u <= 0 is a DomainError
-        try:
-            finite = math.isfinite(chart.h(u)) and math.isfinite(chart.dh(u))
-        except (ZeroDivisionError, OverflowError):
-            finite = False
-        if not finite:
-            raise ProfileNotFinite(
-                f"u = {u} is too close to 0 for H(u) = {chart.b}/u^2 and H'(u) to be finite floats"
-            )
+    if not (chart.half_space and u > 0.0):  # u <= 0 is a DomainError
+        return
+    if isinstance(chart, RosenChart):
+        what = f"delta(u) = {chart.label}, H(u) and H'(u)"
+        terms = (
+            chart.delta,
+            partial(brinkmann_profile_value, chart),
+            partial(brinkmann_profile_derivative, chart),
+        )
+    else:
+        what = f"H(u) = {chart.b}/u^2 and H'(u)"
+        terms = (chart.h, chart.dh)
+    try:
+        finite = all(math.isfinite(term(u)) for term in terms)
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise ProfileNotFinite(f"u = {u} is too close to 0 for {what} to be finite floats")
 
 
 def _parse_point(text: str) -> tuple[float, float, float]:
@@ -162,26 +175,16 @@ def _parse_grid(text: str) -> list[tuple[float, float, float]]:
         ranges.append((float(Fraction(lo)), float(Fraction(hi))))
     if len(ranges) != 3:
         raise ValueError("--grid expects three ranges")
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, shape)]
-    return [
-        (float(u), float(v), float(x)) for u in axes[0] for v in axes[1] for x in axes[2]
-    ]
-
-
-def _chart_sources(args) -> list[str]:
-    return [
-        name
-        for name in ("derivation", "b", "alpha", "klass")
-        if getattr(args, name, None) is not None
-    ]
+    return default_grid(*ranges, shape=shape)
 
 
 def _add_source_flags(sub, include_alpha=True):
-    sub.add_argument("--derivation", help="3x3 JSON matrix (or path), basis (Z, X, Y)")
-    sub.add_argument("--b", help="exact rational b of the Brinkmann profile b/u^2")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--derivation", help="3x3 JSON matrix (or path), basis (Z, X, Y)")
+    source.add_argument("--b", help="exact rational b of the Brinkmann profile b/u^2")
     if include_alpha:
-        sub.add_argument("--alpha", help="Rosen power-law exponent; the space has b = alpha^2 - alpha")
-    sub.add_argument(
+        source.add_argument("--alpha", help="Rosen power-law exponent; the space has b = alpha^2 - alpha")
+    source.add_argument(
         "--class",
         dest="klass",
         choices=sorted(_CLASS_NAMES),
@@ -189,10 +192,7 @@ def _add_source_flags(sub, include_alpha=True):
     )
 
 
-def _resolve_report(args, parser):
-    sources = _chart_sources(args)
-    if len(sources) != 1:
-        parser.error("exactly one of --derivation/--b/--alpha/--class is required")
+def _resolve_report(args):
     if args.derivation is not None:
         d, rationalized = _parse_derivation(args.derivation)
         return space_report(d, rationalized_input=rationalized)
@@ -210,14 +210,11 @@ def _resolve_report(args, parser):
     return report_from_class(_CLASS_NAMES[args.klass])
 
 
-def _resolve_chart(args, parser):
-    sources = _chart_sources(args)
-    if len(sources) != 1:
-        parser.error("exactly one of the chart source flags is required")
-    if getattr(args, "alpha", None) is not None:
+def _resolve_chart(args):
+    if getattr(args, "alpha", None) is not None:  # geodesic has no --alpha
         alpha, _ = _parse_rational(args.alpha)
         return RosenChart.power_law(float(alpha))
-    return _resolve_report(args, parser).brinkmann_chart
+    return _resolve_report(args).brinkmann_chart
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +223,17 @@ def _resolve_chart(args, parser):
 
 
 def _cmd_classify(args, parser) -> int:
-    report = _resolve_report(args, parser)
+    report = _resolve_report(args)
     _emit_json(report.to_json(), args.out)
     return 0
 
 
 def _cmd_curvature(args, parser) -> int:
-    chart = _resolve_chart(args, parser)
-    tol = oracle_tolerance(args.tol)
-    if args.point is None and args.grid is None:
-        parser.error("curvature needs --point or --grid")
+    chart = _resolve_chart(args)
     if args.point is not None:
         point = _parse_point(args.point)
         _check_profile_finite(chart, point[0])
-        report = curvature_report(chart, point)
-        if report.symmetry_residual > tol:
-            raise ValueError(
-                f"Riemann symmetry residual {report.symmetry_residual} exceeds tolerance {tol}"
-            )
-        _emit_json(report.to_json(), args.out)
+        _emit_json(curvature_report(chart, point).to_json(), args.out)
         return 0
     grid = _parse_grid(args.grid)
     fields = [coordinate_field("v")]
@@ -271,11 +260,7 @@ def _cmd_curvature(args, parser) -> int:
 def _cmd_geodesic(args, parser) -> int:
     from . import geodesics as geo  # scipy loads only for this command
 
-    chart = _resolve_chart(args, parser)
-    if isinstance(chart, RosenChart):
-        parser.error("geodesic integration runs on Brinkmann charts (--b or --class)")
-    if (args.init is None) == (args.family is None):
-        parser.error("geodesic needs exactly one of --init or --family")
+    chart = _resolve_chart(args)
     if args.init is not None:
         parts = [float(Fraction(p)) for p in args.init.split(",")]
         if len(parts) != 6:
@@ -310,17 +295,15 @@ def _cmd_transform(args, parser) -> int:
     }
     if args.verify_grid:
         n = args.verify_grid
-        axes = np.linspace(0.5, 2.0, n), np.linspace(-1.0, 1.0, n), np.linspace(-1.0, 1.0, n)
-        grid = [(float(u), float(v), float(x)) for u in axes[0] for v in axes[1] for x in axes[2]]
+        grid = default_grid(shape=(n, n, n))
         payload["verify_grid_shape"] = [n, n, n]
         payload["pullback_residual"] = pullback_residual(
             tr.point_map, tr.rosen_chart, tr.brinkmann_chart, grid
         )
         payload["roundtrip_residual"] = roundtrip_residual(tr.point_map, tr.inverse_map, grid)
-        tol = oracle_tolerance(args.tol) if args.tol is not None else 1e-9
-        if payload["pullback_residual"] > tol:
+        if payload["pullback_residual"] > args.tol:
             raise ValueError(
-                f"pullback residual {payload['pullback_residual']:.3e} exceeds tolerance {tol}"
+                f"pullback residual {payload['pullback_residual']:.3e} exceeds tolerance {args.tol}"
             )
     _emit_json(payload, args.out)
     return 0
@@ -342,19 +325,8 @@ def _cmd_survey(args, parser) -> int:
             values.append(q)
     entries = []
     for b in values:
-        rep = report_from_class(class_from_b(b))
-        entries.append(
-            {
-                "b": str(b),
-                "class": rep.space_class.tag,
-                "symmetric": rep.symmetric,
-                "locally_symmetric": rep.locally_symmetric,
-                "flat": rep.flat,
-                "complete": rep.complete,
-                "compact_model": rep.compact_model,
-                "transverse_3d_group": rep.transverse_3d_group,
-            }
-        )
+        report = report_from_class(class_from_b(b)).to_json()
+        entries.append({"b": str(b), "class": report["class"], **report["flags"]})
     if args.json:
         _emit_json({"entries": entries}, args.out)
     else:
@@ -405,16 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curv = sub.add_parser("curvature", help="curvature report at a point or sweep CSV over a grid")
     _add_source_flags(p_curv)
-    p_curv.add_argument("--point", help="u,v,x")
-    p_curv.add_argument("--grid", help="nu,nv,nx:umin..umax,vmin..vmax,xmin..xmax")
-    p_curv.add_argument("--tol", type=float, help="symmetry-residual tolerance (default LORENTZ3_TOL or 1e-6)")
+    mode = p_curv.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--point", help="u,v,x")
+    mode.add_argument("--grid", help="nu,nv,nx:umin..umax,vmin..vmax,xmin..xmax")
     p_curv.add_argument("--out")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_geo = sub.add_parser("geodesic", help="integrate one geodesic (CSV) or report verdicts per family (JSON)")
     _add_source_flags(p_geo, include_alpha=False)
-    p_geo.add_argument("--init", help="u,v,x,du,dv,dx")
-    p_geo.add_argument("--family", help="comma list from: timelike,null,dv_orbit,spacelike")
+    mode = p_geo.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--init", help="u,v,x,du,dv,dx")
+    mode.add_argument("--family", help="comma list from: timelike,null,dv_orbit,spacelike")
     p_geo.add_argument("--span", type=float, default=10.0, help="affine span for --init runs")
     p_geo.add_argument("--count", type=int, default=20, help="samples per family")
     p_geo.add_argument("--seed", type=int, default=12345, help="seed for initial conditions (recorded in output)")
@@ -425,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="Rosen <-> Brinkmann maps for a power-law exponent")
     p_tr.add_argument("--alpha", required=True, help="Rosen exponent (rational)")
     p_tr.add_argument("--verify-grid", type=int, metavar="N", help="check the pullback on an N^3 grid")
-    p_tr.add_argument("--tol", type=float, help="pullback tolerance (default 1e-9)")
+    p_tr.add_argument("--tol", type=float, default=1e-9, help="pullback tolerance (default 1e-9)")
     p_tr.add_argument("--out")
     p_tr.set_defaults(func=_cmd_transform)
 
@@ -449,22 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {
-    "--derivation", "--b", "--alpha", "--class", "--point", "--grid", "--tol",
-    "--out", "--init", "--family", "--span", "--count", "--seed", "--horizon",
-    "--verify-grid", "--b-grid", "--suite",
-}
-
-
 def _absorb_negative_values(argv: list[str]) -> list[str]:
     """Join '--flag -1/2' into '--flag=-1/2' so argparse does not mistake
-    negative rationals, points, or ranges for option names."""
+    negative rationals, points, or ranges for option names.  The only
+    positional is the subcommand, so a '-digit' token after a '--name'
+    token can only be that flag's value; a flag that takes none still fails
+    on it, and '--help' (or a prefix of it) is never joined."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (
-            tok in _VALUE_FLAGS
+            re.fullmatch(r"--[^=]+", tok)
+            and not "--help".startswith(tok)
             and i + 1 < len(argv)
             and re.match(r"^-[\d.]", argv[i + 1])
         ):
@@ -481,15 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_absorb_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args, parser)
-    except (
-        DomainError,
-        NoInvariantMetric,
-        UnimodularInput,
-        HomothetyInput,
-        ValueError,
-        ZeroDivisionError,
-        OverflowError,
-    ) as exc:
+    except (ValueError, ArithmeticError) as exc:
         payload = {
             "error": {
                 "type": type(exc).__name__,

@@ -114,10 +114,16 @@ def integrate_geodesic(
 ) -> GeodesicResult:
     """Adaptive integration with domain-boundary detection.
 
-    ``span`` may run backwards (t1 < t0); the boundary event u = u_min is
-    armed only on half-space charts.
+    ``span`` may run backwards (t1 < t0) but both ends must be finite.  On
+    half-space charts the boundary event u = u_min is armed, and the start
+    must lie above it: the event fires only on a crossing.
     """
+    if not all(math.isfinite(t) for t in span):
+        raise ValueError(f"span = {tuple(span)}: both ends must be finite")
     check_domain(chart, initial.position)
+    u0 = initial.position[0]
+    if chart.half_space and not u0 > u_min:
+        raise ValueError(f"u0 = {u0} is not above the boundary level u_min = {u_min}")
     y0 = initial.as_array()
 
     events = []
@@ -154,7 +160,7 @@ def integrate_geodesic(
     du0 = initial.velocity[0]
     predicted = None
     if chart.half_space and du0 != 0.0:
-        t_hit = span[0] + (u_min - initial.position[0]) / du0
+        t_hit = span[0] + (u_min - u0) / du0
         span_lo, span_hi = min(span), max(span)
         if span_lo <= t_hit <= span_hi:
             predicted = t_hit
@@ -474,6 +480,10 @@ def completeness_report(
 ) -> CompletenessReport:
     if count < 1:
         raise ValueError(f"count = {count}: a verdict needs at least one sample")
+    families = tuple(families)
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown families {unknown}: choose from {', '.join(FAMILIES)}")
     rng = np.random.default_rng(seed)
     verdicts = {}
     for family in families:

@@ -67,7 +67,9 @@ def brinkmann_profile_value(chart: RosenChart, u: float) -> float:
     return d2 / (2.0 * d) - dd * dd / (4.0 * d * d)
 
 
-def _brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
+def brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
+    """H'(u) of :func:`brinkmann_profile_value`: closed form on power-law
+    charts, the oracle's Richardson difference otherwise."""
     if chart.alpha is not None:
         a = chart.alpha
         return -2.0 * (a * a - a) / u**3
@@ -122,7 +124,7 @@ def nabla_riemann(chart: Chart, point, direction) -> np.ndarray:
         vec = np.asarray(direction, dtype=float)
     u = point[U]
     if isinstance(chart, RosenChart):
-        du_value = chart.delta(u) * _brinkmann_profile_derivative(chart, u)
+        du_value = chart.delta(u) * brinkmann_profile_derivative(chart, u)
     else:
         du_value = chart.dh(u)
     return _uxux_tensor(vec[U] * du_value)

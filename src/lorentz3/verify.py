@@ -2,9 +2,9 @@
 
 Each check is registered with a name and a suite tag; ``run_suite`` executes
 a selection and returns one result per check.  The acceptance checks pin
-their tolerances explicitly; ``LORENTZ3_TOL`` (or the --tol flag) only
+their tolerances explicitly; ``LORENTZ3_TOL`` (or ``verify --tol``) only
 rescales the generic closed-form-vs-oracle comparisons, never the pinned
-acceptance tolerances.
+acceptance tolerances, and no other command reads either.
 
 The same registry backs both the ``verify`` CLI command and the acceptance
 test module, so there is exactly one source of truth for every criterion.

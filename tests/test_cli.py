@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorentz3.cli import main
 
@@ -73,9 +77,10 @@ class TestClassify:
         assert payload["normalization"]["rationalized_input"] is True
 
     def test_exactly_one_source_required(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["classify", "--b", "2", "--alpha", "1"])
-        assert excinfo.value.code == 2
+        for sources in ((), ("--b", "2", "--alpha", "1")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["classify", *sources])
+            assert excinfo.value.code == 2, sources
 
     def test_math_error_gives_json_and_exit_one(self, capsys, schema_validator):
         homothety = json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
@@ -95,6 +100,19 @@ class TestClassify:
             (("curvature", "--b", "2", "--point", "1e-200,0,0"), "ProfileNotFinite"),
             (("curvature", "--b", "2", "--point", "1e-105,0,1"), "ProfileNotFinite"),
             (("geodesic", "--b", "2", "--init", "1e-200,0,0,1,0,0"), "ProfileNotFinite"),
+            # delta(u)^2 underflows in H(u); u**(-2) overflows
+            (("curvature", "--alpha", "1", "--point", "1e-100,0,1"), "ProfileNotFinite"),
+            (("curvature", "--alpha", "-1", "--point", "1e-200,0,1"), "ProfileNotFinite"),
+            (("curvature", "--alpha", "1", "--grid", "2,1,1:1e-100..1,0..0,0..0"), "ProfileNotFinite"),
+            # a start below the boundary level u_min = 1e-8 never crosses it
+            (("geodesic", "--b", "2", "--init", "1e-100,0,1,1,0,0"), "ValueError"),
+            # a span or horizon that never ends
+            (("geodesic", "--class", "CahenWallachHyperbolic", "--init", "0,0,0,1,0,0", "--span", "inf"), "ValueError"),
+            (("geodesic", "--b", "2", "--init", "1,0,0,1,0,0", "--span", "nan"), "ValueError"),
+            (("geodesic", "--b", "2", "--family", "dv_orbit", "--count", "1", "--horizon", "inf"), "ValueError"),
+            (("geodesic", "--b", "2", "--family", "foo"), "ValueError"),
+            (("geodesic", "--b", "2", "--family", ","), "ValueError"),
+            (("classify", "--b", "2", "--out", "/nonexistent/dir/x.json"), "OutputNotWritable"),
         ]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
@@ -104,6 +122,8 @@ class TestClassify:
             assert payload["error"]["type"] == error_type, argv
             if error_type == "ProfileNotFinite":
                 assert "far enough from 0" in payload["error"]["precondition"], argv
+            if error_type == "OutputNotWritable":
+                assert "--out" in payload["error"]["precondition"], argv
 
     def test_output_is_deterministic(self, capsys):
         _, first = run_cli(capsys, "classify", "--b", "-1/2")
@@ -140,6 +160,12 @@ class TestCurvature:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 9
+
+    def test_requires_exactly_one_mode(self, capsys):
+        for modes in ((), ("--point", "1,0,0", "--grid", "2,2,2:1..2,0..1,0..1")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["curvature", "--b", "2", *modes])
+            assert excinfo.value.code == 2, modes
 
     def test_domain_error(self, capsys, schema_validator):
         code, out = run_cli(capsys, "curvature", "--b", "2", "--point", "-1,0,0")
@@ -180,9 +206,10 @@ class TestGeodesic:
         assert first == second
 
     def test_requires_exactly_one_mode(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["geodesic", "--b", "2"])
-        assert excinfo.value.code == 2
+        for modes in ((), ("--init", "1,0,0,1,0,0", "--family", "timelike")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["geodesic", "--b", "2", *modes])
+            assert excinfo.value.code == 2, modes
 
 
 class TestTransform:
@@ -249,3 +276,101 @@ class TestVerify:
 
         assert oracle_tolerance() == 1e-3
         assert oracle_tolerance(1e-8) == 1e-8
+
+
+# Hostile number spellings: non-finite, signed zeros, past the float range,
+# below it, huge and tiny exact rationals, and text that is no number.
+HOSTILE_NUMBERS = [
+    "inf", "-inf", "nan", "0", "-0", "+0", "-0.0", "1e400", "-1e400", "1e-400",
+    "1e-200", "1e-100", "1e-8", "1" + "0" * 400, "-1/1" + "0" * 400, "1/0", "0/0",
+    "", " ", "abc", "0x10", "1..2", "--", "-",
+]
+hostile_number = st.one_of(
+    st.sampled_from(HOSTILE_NUMBERS),
+    st.fractions().map(str),
+    st.floats().map(repr),
+)
+# Finite values stay small where they set the work: on a Cahen-Wallach
+# chart the cost of a span-1 geodesic grows with |du|.
+bounded_number = st.one_of(
+    st.sampled_from(HOSTILE_NUMBERS),
+    st.fractions(min_value=-10, max_value=10, max_denominator=1000).map(str),
+    st.floats(min_value=-10, max_value=10).map(repr),
+)
+
+
+def number_list(element, length):
+    return st.one_of(
+        st.lists(element, min_size=length, max_size=length),
+        st.lists(element, max_size=length + 2),  # wrong arity, empty
+    ).map(",".join)
+
+
+def _derivation_text(entries):
+    # exact, so the derivation law holds and huge or tiny rationals reach
+    # the classifier: [[a+d, p, q], [0, a, b], [0, c, d]] in basis (Z, X, Y)
+    a, b, c, d, p, q = entries
+    return json.dumps([[str(a + d), str(p), str(q)], ["0", str(a), str(b)], ["0", str(c), str(d)]])
+
+
+exact_entry = st.one_of(
+    st.fractions(),
+    st.sampled_from([Fraction(10**400), Fraction(1, 10**400), Fraction(-(10**300), 7)]),
+)
+json_matrix = st.one_of(
+    st.lists(exact_entry, min_size=6, max_size=6).map(_derivation_text),
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.integers(),
+                st.sampled_from(HOSTILE_NUMBERS),
+                st.none(),
+                st.booleans(),
+            ),
+            max_size=4,
+        ),
+        max_size=4,
+    ).map(json.dumps),
+    st.sampled_from(["", "[", "{}", "[[]]", "[1,2,3]", "[[NaN,0,0],[0,1,0],[0,0,0]]"]),
+)
+
+FIXED_CHARTS = [("--b", "2"), ("--alpha", "-1"), ("--alpha", "1"), ("--class", "CahenWallachElliptic")]
+FAMILY_NAMES = ["timelike", "null", "dv_orbit", "spacelike", "", "foo", " null", "NULL"]
+GEODESIC_CHARTS = [("--b", "2"), ("--class", "CahenWallachElliptic"), ("--class", "CahenWallachHyperbolic")]
+
+hostile_argv = st.one_of(
+    # the chart source, on its own and behind a fixed curvature point
+    st.tuples(
+        st.sampled_from(["classify", "curvature"]),
+        st.sampled_from(["--derivation", "--b", "--alpha", "--class"]),
+        st.one_of(hostile_number, json_matrix, st.text(max_size=20)),
+    ).map(
+        lambda t: [t[0], t[1], t[2]] + (["--point", "1,0,0.5"] if t[0] == "curvature" else [])
+    ),
+    st.tuples(st.sampled_from(FIXED_CHARTS), number_list(hostile_number, 3)).map(
+        lambda t: ["curvature", *t[0], "--point", t[1]]
+    ),
+    st.tuples(st.sampled_from(GEODESIC_CHARTS), number_list(bounded_number, 6)).map(
+        lambda t: ["geodesic", *t[0], "--init", t[1], "--span", "1"]
+    ),
+    st.one_of(
+        st.lists(st.sampled_from(FAMILY_NAMES), max_size=3).map(",".join),
+        st.text(max_size=12),
+    ).map(lambda f: ["geodesic", "--class", "CahenWallachHyperbolic", "--family", f, "--count", "1"]),
+)
+
+
+class TestErrorContract:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=hostile_argv)
+    def test_hostile_values_keep_the_exit_contract(self, schema_validator, argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            schema_validator("error", json.loads(out.getvalue()))
