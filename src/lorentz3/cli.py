@@ -14,7 +14,9 @@ rational strings ("-1/4") are exact, floats are rationalized (denominator
 <= 10^6) and the report records that; usage errors exit 2, domain or math
 errors exit 1 with a JSON error object naming the violated precondition;
 output is byte-identical across repeated runs with the same config and seed.
-``LORENTZ3_TOL`` and ``verify --tol`` rescale only verify's oracle comparison.
+No tolerance is settable: the verify checks, the transform pullback gate and
+the completeness horizon are module constants, and no command reads the
+environment.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ _CLASS_NAMES = {
     "CahenWallachHyperbolic": SpaceClass("CahenWallachHyperbolic"),
     "CahenWallachElliptic": SpaceClass("CahenWallachElliptic"),
 }
+
+PULLBACK_TOL = 1e-9  # the transform --verify-grid gate
 
 _PRECONDITIONS = {
     "DomainError": "point lies in the chart domain (u > 0 on half-space charts)",
@@ -154,8 +158,13 @@ def _check_profile_finite(chart, u: float) -> None:
         raise ProfileNotFinite(f"u = {u} is too close to 0 for {what} to be finite floats")
 
 
+def _parse_number(text: str) -> float:
+    """One coordinate: an exact spelling ("-1/2", "0.3", "1e-3") as a float."""
+    return float(as_rational(text)[0])
+
+
 def _parse_point(text: str) -> tuple[float, float, float]:
-    parts = [float(Fraction(p)) for p in text.split(",")]
+    parts = [_parse_number(p) for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError("--point expects u,v,x")
     return tuple(parts)
@@ -172,7 +181,7 @@ def _parse_grid(text: str) -> list[tuple[float, float, float]]:
         lo, sep, hi = chunk.partition("..")
         if not sep:
             raise ValueError(f"bad range {chunk!r}: expected lo..hi")
-        ranges.append((float(Fraction(lo)), float(Fraction(hi))))
+        ranges.append((_parse_number(lo), _parse_number(hi)))
     if len(ranges) != 3:
         raise ValueError("--grid expects three ranges")
     return default_grid(*ranges, shape=shape)
@@ -262,7 +271,7 @@ def _cmd_geodesic(args, parser) -> int:
 
     chart = _resolve_chart(args)
     if args.init is not None:
-        parts = [float(Fraction(p)) for p in args.init.split(",")]
+        parts = [_parse_number(p) for p in args.init.split(",")]
         if len(parts) != 6:
             parser.error("--init expects u,v,x,du,dv,dx")
         _check_profile_finite(chart, parts[0])
@@ -275,9 +284,7 @@ def _cmd_geodesic(args, parser) -> int:
         )
         return 0
     families = tuple(args.family.split(","))
-    report = geo.completeness_report(
-        chart, families=families, count=args.count, seed=args.seed, horizon=args.horizon
-    )
+    report = geo.completeness_report(chart, families=families, count=args.count, seed=args.seed)
     _emit_json(report.to_json(), args.out)
     return 0
 
@@ -301,9 +308,9 @@ def _cmd_transform(args, parser) -> int:
             tr.point_map, tr.rosen_chart, tr.brinkmann_chart, grid
         )
         payload["roundtrip_residual"] = roundtrip_residual(tr.point_map, tr.inverse_map, grid)
-        if payload["pullback_residual"] > args.tol:
+        if payload["pullback_residual"] > PULLBACK_TOL:
             raise ValueError(
-                f"pullback residual {payload['pullback_residual']:.3e} exceeds tolerance {args.tol}"
+                f"pullback residual {payload['pullback_residual']:.3e} exceeds tolerance {PULLBACK_TOL}"
             )
     _emit_json(payload, args.out)
     return 0
@@ -336,7 +343,7 @@ def _cmd_survey(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    results = run_suite(args.suite, tol=args.tol)
+    results = run_suite(args.suite)
     all_passed = all(r.passed for r in results)
     if args.json:
         payload = {
@@ -391,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--span", type=float, default=10.0, help="affine span for --init runs")
     p_geo.add_argument("--count", type=int, default=20, help="samples per family")
     p_geo.add_argument("--seed", type=int, default=12345, help="seed for initial conditions (recorded in output)")
-    p_geo.add_argument("--horizon", type=float, default=1e4, help="affine horizon for complete verdicts")
     p_geo.add_argument("--out")
     p_geo.set_defaults(func=_cmd_geodesic)
 
     p_tr = sub.add_parser("transform", help="Rosen <-> Brinkmann maps for a power-law exponent")
     p_tr.add_argument("--alpha", required=True, help="Rosen exponent (rational)")
     p_tr.add_argument("--verify-grid", type=int, metavar="N", help="check the pullback on an N^3 grid")
-    p_tr.add_argument("--tol", type=float, default=1e-9, help="pullback tolerance (default 1e-9)")
     p_tr.add_argument("--out")
     p_tr.set_defaults(func=_cmd_transform)
 
@@ -414,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite; nonzero exit on any failure")
     p_verify.add_argument("--suite", default="all", choices=suite_names())
-    p_verify.add_argument("--tol", type=float, help="oracle tolerance override (default LORENTZ3_TOL or 1e-6)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=_cmd_verify)

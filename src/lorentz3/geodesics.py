@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry.charts import Chart, Constant, PowerLaw, RosenChart, check_domain, metric_at
+from .geometry.charts import Constant, PowerLaw, check_domain, metric_at
 
 NULL_BAND = 1e-12
 DEFAULT_U_MIN = 1e-8
@@ -48,13 +48,13 @@ class GeodesicState:
         return cls((float(u), float(v), float(x)), (float(du), float(dv), float(dx)))
 
 
-def velocity_norm_sq(chart: Chart, state: GeodesicState) -> float:
+def velocity_norm_sq(chart: PowerLaw | Constant, state: GeodesicState) -> float:
     g = metric_at(chart, state.position)
     vel = np.asarray(state.velocity, dtype=float)
     return float(vel @ g @ vel)
 
 
-def causal_type(chart: Chart, state: GeodesicState) -> str:
+def causal_type(chart: PowerLaw | Constant, state: GeodesicState) -> str:
     q = velocity_norm_sq(chart, state)
     if q < -NULL_BAND:
         return "timelike"
@@ -63,18 +63,13 @@ def causal_type(chart: Chart, state: GeodesicState) -> str:
     return "null"
 
 
-def geodesic_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the first-order system (u, v, x, du, dv, dx)."""
+def geodesic_rhs(chart: PowerLaw | Constant, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the first-order system (u, v, x, du, dv, dx) on a
+    Brinkmann chart."""
     u, _, x, du, dv, dx = y
-    if isinstance(chart, RosenChart):
-        d = chart.delta(u)
-        dd = chart.ddelta(u)
-        acc_v = 0.5 * dd * dx * dx
-        acc_x = -(dd / d) * du * dx
-    else:
-        h = chart.h(u)
-        acc_v = -0.5 * chart.dh(u) * x * x * du * du - 2.0 * h * x * du * dx
-        acc_x = h * x * du * du
+    h = chart.h(u)
+    acc_v = -0.5 * chart.dh(u) * x * x * du * du - 2.0 * h * x * du * dx
+    acc_x = h * x * du * du
     return np.array([du, dv, dx, 0.0, acc_v, acc_x])
 
 
@@ -95,7 +90,7 @@ class GeodesicResult:
     boundary_time: Optional[float] = None
     predicted_boundary_time: Optional[float] = None
 
-    def csv_rows(self, chart: Chart) -> list[list[float]]:
+    def csv_rows(self, chart: PowerLaw | Constant) -> list[list[float]]:
         rows = []
         for t, row in zip(self.times, self.states):
             st = GeodesicState(tuple(row[:3]), tuple(row[3:]))
@@ -104,10 +99,9 @@ class GeodesicResult:
 
 
 def integrate_geodesic(
-    chart: Chart,
+    chart: PowerLaw | Constant,
     initial: GeodesicState,
     span: tuple[float, float],
-    u_min: float = DEFAULT_U_MIN,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     t_eval=None,
@@ -115,22 +109,22 @@ def integrate_geodesic(
     """Adaptive integration with domain-boundary detection.
 
     ``span`` may run backwards (t1 < t0) but both ends must be finite.  On
-    half-space charts the boundary event u = u_min is armed, and the start
-    must lie above it: the event fires only on a crossing.
+    half-space charts the boundary event u = DEFAULT_U_MIN is armed, and the
+    start must lie above it: the event fires only on a crossing.
     """
     if not all(math.isfinite(t) for t in span):
         raise ValueError(f"span = {tuple(span)}: both ends must be finite")
     check_domain(chart, initial.position)
     u0 = initial.position[0]
-    if chart.half_space and not u0 > u_min:
-        raise ValueError(f"u0 = {u0} is not above the boundary level u_min = {u_min}")
+    if chart.half_space and not u0 > DEFAULT_U_MIN:
+        raise ValueError(f"u0 = {u0} is not above the boundary level u_min = {DEFAULT_U_MIN}")
     y0 = initial.as_array()
 
     events = []
     if chart.half_space:
 
-        def boundary(t, y, _lim=u_min):
-            return y[0] - _lim
+        def boundary(t, y):
+            return y[0] - DEFAULT_U_MIN
 
         boundary.terminal = True
         events.append(boundary)
@@ -160,7 +154,7 @@ def integrate_geodesic(
     du0 = initial.velocity[0]
     predicted = None
     if chart.half_space and du0 != 0.0:
-        t_hit = span[0] + (u_min - u0) / du0
+        t_hit = span[0] + (DEFAULT_U_MIN - u0) / du0
         span_lo, span_hi = min(span), max(span)
         if span_lo <= t_hit <= span_hi:
             predicted = t_hit
@@ -174,7 +168,7 @@ def integrate_geodesic(
     )
 
 
-def _norm_term_scale(chart: Chart, state: GeodesicState) -> float:
+def _norm_term_scale(chart: PowerLaw | Constant, state: GeodesicState) -> float:
     """Magnitude of the individual terms of g(v, v): the honest scale for
     conservation drift, since near a blow-up the norm is a cancellation of
     large terms."""
@@ -183,7 +177,7 @@ def _norm_term_scale(chart: Chart, state: GeodesicState) -> float:
     return float(np.sum(np.abs(np.outer(vel, vel) * g)))
 
 
-def conservation_drift(chart: Chart, initial: GeodesicState, result: GeodesicResult) -> float:
+def conservation_drift(chart: PowerLaw | Constant, initial: GeodesicState, result: GeodesicResult) -> float:
     """Largest drift of the first integral g(gamma', gamma') from its value
     at ``initial`` over the sampled rows of ``result``, each relative to
     max(1, |q0|, the row's term scale); rows with u <= 0 on a half-space
@@ -310,7 +304,7 @@ FAMILIES = ("timelike", "null", "dv_orbit", "spacelike")
 
 
 def sample_initial_conditions(
-    chart: Chart, family: str, count: int, rng: np.random.Generator
+    chart: PowerLaw | Constant, family: str, count: int, rng: np.random.Generator
 ) -> list[GeodesicState]:
     """Seeded initial conditions with the requested causal character.
 
@@ -349,14 +343,13 @@ class FamilyVerdict:
 class CompletenessReport:
     chart_label: str
     seed: int
-    horizon: float
     verdicts: dict[str, FamilyVerdict]
 
     def to_json(self) -> dict:
         return {
             "chart": self.chart_label,
             "seed": self.seed,
-            "affine_horizon": self.horizon,
+            "affine_horizon": DEFAULT_HORIZON,
             "verdicts": {
                 name: {
                     "verdict": fv.verdict,
@@ -369,9 +362,7 @@ class CompletenessReport:
         }
 
 
-def _verdict_power_law(
-    chart: PowerLaw, family: str, states: list[GeodesicState], horizon: float
-) -> FamilyVerdict:
+def _verdict_power_law(chart: PowerLaw, family: str, states: list[GeodesicState]) -> FamilyVerdict:
     details = []
     all_hit = True
     all_complete = True
@@ -383,7 +374,7 @@ def _verdict_power_law(
         du0 = st.velocity[0]
         directions = (-1.0, +1.0) if du0 > 0 else (+1.0, -1.0)
         for direction in directions:
-            res = integrate_geodesic(chart, st, (0.0, direction * horizon))
+            res = integrate_geodesic(chart, st, (0.0, direction * DEFAULT_HORIZON))
             if res.terminated == "hit_domain_boundary":
                 hit_some_direction = True
                 rec["direction"] = "forward" if direction > 0 else "backward"
@@ -403,7 +394,7 @@ def _verdict_power_law(
         details.append(rec)
     if family == "dv_orbit":
         verdict = "complete"
-        evidence = f"every orbit of the parallel field reached affine span {horizon:g} (numerical evidence, not proof)"
+        evidence = f"every orbit of the parallel field reached affine span {DEFAULT_HORIZON:g} (numerical evidence, not proof)"
     elif family == "spacelike":
         verdict = "unstated-in-paper"
         evidence = "no classification is asserted for spacelike geodesics"
@@ -423,10 +414,10 @@ def _verdict_power_law(
     return FamilyVerdict(family=family, verdict=verdict, evidence=evidence, count=len(states), details=details)
 
 
-def _transverse_fit_gap(chart, initial: GeodesicState, res: GeodesicResult):
+def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicResult):
     """Sup relative gap between sampled x and the fitted Euler solution x(u);
     relative because x blows up like a negative power of u at the boundary."""
-    if not isinstance(chart, PowerLaw) or initial.velocity[0] == 0.0:
+    if initial.velocity[0] == 0.0:
         return None
     x_of_u = transverse_profile_in_u(chart, initial)
     gap = 0.0
@@ -439,17 +430,14 @@ def _transverse_fit_gap(chart, initial: GeodesicState, res: GeodesicResult):
     return gap
 
 
-def _verdict_constant(
-    chart: Constant, family: str, states: list[GeodesicState], horizon: float
-) -> FamilyVerdict:
+def _verdict_constant(chart: Constant, family: str, states: list[GeodesicState]) -> FamilyVerdict:
     """Constant profiles have no domain boundary and a linear geodesic
     system, so every solution is global; the closed form is evaluated
     directly and spot-checked against the integrator on a short span."""
     details = []
     for st in states:
         rec = {"initial": list(st.position) + list(st.velocity)}
-        span_end = min(50.0, horizon)
-        res = integrate_geodesic(chart, st, (0.0, span_end))
+        res = integrate_geodesic(chart, st, (0.0, 50.0))
         x_exact = constant_chart_transverse(chart, st)
         gap = max(
             abs(row[2] - x_exact(t)) / max(1.0, abs(x_exact(t)))
@@ -472,11 +460,10 @@ def _verdict_constant(
 
 
 def completeness_report(
-    chart: Chart,
+    chart: PowerLaw | Constant,
     families: Iterable[str] = FAMILIES,
     count: int = 20,
     seed: int = 12345,
-    horizon: float = DEFAULT_HORIZON,
 ) -> CompletenessReport:
     if count < 1:
         raise ValueError(f"count = {count}: a verdict needs at least one sample")
@@ -489,12 +476,10 @@ def completeness_report(
     for family in families:
         states = sample_initial_conditions(chart, family, count, rng)
         if isinstance(chart, Constant):
-            verdicts[family] = _verdict_constant(chart, family, states, horizon)
+            verdicts[family] = _verdict_constant(chart, family, states)
         else:
-            verdicts[family] = _verdict_power_law(chart, family, states, horizon)
-    return CompletenessReport(
-        chart_label=str(chart), seed=seed, horizon=horizon, verdicts=verdicts
-    )
+            verdicts[family] = _verdict_power_law(chart, family, states)
+    return CompletenessReport(chart_label=str(chart), seed=seed, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------

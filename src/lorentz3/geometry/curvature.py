@@ -34,6 +34,7 @@ from .charts import (
 )
 
 _DIRECTION_NAMES = {"u": U, "v": V, "x": Xc}
+FLAT_TOL = 1e-10
 
 
 class DegeneratePlane(ValueError):
@@ -158,19 +159,14 @@ def default_grid(
     return [(float(a), float(b), float(c)) for a, b, c in itertools.product(us, vs, xs)]
 
 
-def is_flat(chart: Chart, sample_grid: Iterable | None = None, tol: float = 1e-10) -> bool:
-    """True iff max |R_ijkl| < tol everywhere on the grid."""
-    grid = default_grid() if sample_grid is None else sample_grid
-    worst = 0.0
-    for p in grid:
-        worst = max(worst, float(np.max(np.abs(riemann_tensor(chart, p)))))
-        if worst >= tol:
-            return False
-    return True
-
-
 def max_abs_riemann(chart: Chart, grid: Iterable) -> float:
     return max(float(np.max(np.abs(riemann_tensor(chart, p)))) for p in grid)
+
+
+def is_flat(chart: Chart, sample_grid: Iterable | None = None) -> bool:
+    """True iff max |R_ijkl| < FLAT_TOL everywhere on the grid."""
+    grid = default_grid() if sample_grid is None else sample_grid
+    return max_abs_riemann(chart, grid) < FLAT_TOL
 
 
 def sectional_curvature(chart: Chart, point, plane: Sequence) -> float:

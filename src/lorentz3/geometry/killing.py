@@ -12,7 +12,7 @@ sample grid.  For a true Killing field it vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,12 +25,10 @@ class VectorField:
     """Coordinate components and first derivatives of a vector field.
 
     ``jacobian(p)[i, k]`` is the partial of component k along coordinate i.
-    Fields produced by commutators carry no Jacobian (second derivatives of
-    the factors would be needed) and cannot be fed to killing_residual.
     """
 
     value: Callable[[tuple], np.ndarray]
-    jacobian: Optional[Callable[[tuple], np.ndarray]]
+    jacobian: Callable[[tuple], np.ndarray]
     name: str = "field"
 
     def __call__(self, point) -> np.ndarray:
@@ -108,8 +106,6 @@ def heis_killing_fields(chart: RosenChart) -> tuple[VectorField, VectorField, Ve
 
 
 def lie_derivative_of_metric(chart: Chart, field: VectorField, point) -> np.ndarray:
-    if field.jacobian is None:
-        raise ValueError(f"field {field.name} has no Jacobian")
     xi = field(point)
     jac = np.asarray(field.jacobian(point), dtype=float)
     g = metric_at(chart, point)
@@ -132,8 +128,6 @@ def killing_residual(chart: Chart, field: VectorField, grid: Iterable | None = N
 
 def commutator_values(f1: VectorField, f2: VectorField, point) -> np.ndarray:
     """[f1, f2]^k = f1^m d_m f2^k - f2^m d_m f1^k at one point."""
-    if f1.jacobian is None or f2.jacobian is None:
-        raise ValueError("both fields need Jacobians to form a commutator")
     v1 = f1(point)
     v2 = f2(point)
     j1 = np.asarray(f1.jacobian(point), dtype=float)

@@ -57,7 +57,10 @@ def as_rational(value) -> tuple[Fraction, bool]:
     if isinstance(value, int):
         return Fraction(value), False
     if isinstance(value, str):
-        return Fraction(value), False
+        try:
+            return Fraction(value), False
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     if isinstance(value, float):
         exact = Fraction(value)
         snapped = exact.limit_denominator(RATIONALIZE_MAX_DENOMINATOR)

@@ -106,20 +106,37 @@ class TestClassify:
             (("curvature", "--alpha", "1", "--grid", "2,1,1:1e-100..1,0..0,0..0"), "ProfileNotFinite"),
             # a start below the boundary level u_min = 1e-8 never crosses it
             (("geodesic", "--b", "2", "--init", "1e-100,0,1,1,0,0"), "ValueError"),
-            # a span or horizon that never ends
+            # a span that never ends
             (("geodesic", "--class", "CahenWallachHyperbolic", "--init", "0,0,0,1,0,0", "--span", "inf"), "ValueError"),
             (("geodesic", "--b", "2", "--init", "1,0,0,1,0,0", "--span", "nan"), "ValueError"),
-            (("geodesic", "--b", "2", "--family", "dv_orbit", "--count", "1", "--horizon", "inf"), "ValueError"),
             (("geodesic", "--b", "2", "--family", "foo"), "ValueError"),
             (("geodesic", "--b", "2", "--family", ","), "ValueError"),
             (("classify", "--b", "2", "--out", "/nonexistent/dir/x.json"), "OutputNotWritable"),
         ]
+        # a zero denominator is a malformed number in every position, and
+        # the message names the text
+        zero_denominators = {
+            argv: bad
+            for bad in ("1/0", "0/0")
+            for argv in (
+                ("classify", "--b", bad),
+                ("classify", "--alpha", bad),
+                ("survey", "--b-grid", f"{bad}..2:3"),
+                ("classify", "--derivation", json.dumps([[bad, "0", "0"], ["0", "1", "0"], ["0", "0", "0"]])),
+                ("curvature", "--b", "2", "--point", f"1,{bad},0"),
+                ("curvature", "--b", "2", "--grid", f"2,2,2:1..2,{bad}..1,-1..1"),
+                ("geodesic", "--b", "2", "--init", f"{bad},0,0,1,0,0"),
+            )
+        }
+        cases += [(argv, "ValueError") for argv in zero_denominators]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
             assert code == 1, argv
             payload = json.loads(out)
             schema_validator("error", payload)
             assert payload["error"]["type"] == error_type, argv
+            if argv in zero_denominators:
+                assert repr(zero_denominators[argv]) in payload["error"]["message"], argv
             if error_type == "ProfileNotFinite":
                 assert "far enough from 0" in payload["error"]["precondition"], argv
             if error_type == "OutputNotWritable":
@@ -212,6 +229,21 @@ class TestGeodesic:
             assert excinfo.value.code == 2, modes
 
 
+class TestRemovedKnobs:
+    def test_strictness_flags_are_usage_errors(self, capsys):
+        # no flag sets how strict a check or a verdict is
+        for argv in (
+            ("verify", "--tol", "1"),
+            ("transform", "--alpha", "-1", "--tol", "1"),
+            ("geodesic", "--b", "2", "--family", "timelike", "--horizon", "0.001"),
+            ("geodesic", "--b", "2", "--family", "dv_orbit", "--count", "1", "--horizon", "inf"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(list(argv))
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
 class TestTransform:
     def test_alpha_minus_one(self, capsys, schema_validator):
         code, out = run_cli(capsys, "transform", "--alpha", "-1", "--verify-grid", "5")
@@ -270,12 +302,13 @@ class TestVerify:
         assert len(lines) >= 2
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_tolerance_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("LORENTZ3_TOL", "1e-3")
-        from lorentz3.verify import oracle_tolerance
+    def test_oracle_tolerance_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("LORENTZ3_TOL", "inf")
+        from lorentz3.verify import run_check
 
-        assert oracle_tolerance() == 1e-3
-        assert oracle_tolerance(1e-8) == 1e-8
+        result = run_check("geometry-oracle-agreement")
+        assert result.passed
+        assert result.detail.endswith("(tol 1e-06)"), result.detail
 
 
 # Hostile number spellings: non-finite, signed zeros, past the float range,

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,17 @@ def test_package_has_no_assertions():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert) or _raises_assertion_error(node):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_package_reads_no_environment():
+    # how strict a check or a verdict is lives in the code: no variable in
+    # the environment may change it
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"\b(environb?|getenvb?)\b", path.read_text(encoding="utf-8"))
+    ]
     assert not offenders, offenders
 
 
