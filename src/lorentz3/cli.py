@@ -14,9 +14,9 @@ rational strings ("-1/4") are exact, floats are rationalized (denominator
 <= 10^6) and the report records that; usage errors exit 2, domain or math
 errors exit 1 with a JSON error object naming the violated precondition;
 output is byte-identical across repeated runs with the same config and seed.
-No tolerance is settable: the verify checks, the transform pullback gate and
-the completeness horizon are module constants, and no command reads the
-environment.
+No tolerance is settable: the verify checks, the transform pullback gate, the
+completeness horizon and the geodesic work bound are module constants, and no
+command reads the environment.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ _PRECONDITIONS = {
     "HomothetyInput": "the quotient action is not a homothety",
     "DegeneratePlane": "the tangent plane is non-degenerate",
     "ProfileNotFinite": "u is far enough from 0 that the profile H(u) and its derivative are finite floats",
+    "TransversePhaseTooLarge": (
+        "the transverse phase of each integration is within the work bound: sqrt|h| |du| |span| "
+        "on Constant charts, (sqrt|1+4b|/2) ln(u_max/u_min) on PowerLaw charts"
+    ),
+    "SolutionLeftFloatRange": "the solution stays within float range until the end of the span or until u reaches u_min",
     "ZeroDivisionError": "input data is non-degenerate",
     "OverflowError": "every number is finite and fits in a float",
     "OutputNotWritable": "--out names a file that can be written",
@@ -108,10 +113,13 @@ def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None
 
 
 def _parse_rational(text: str) -> tuple[Fraction, bool]:
+    """An exact spelling ("-1/4", "0.3"); other decimal text, such as
+    "inf", goes through float and fails there."""
     try:
         return as_rational(text)
-    except (ValueError, TypeError):
-        pass
+    except ValueError:
+        if "/" in text:  # a fraction spelling: float cannot read it either
+            raise
     return as_rational(float(text))
 
 
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo = sub.add_parser("geodesic", help="integrate one geodesic (CSV) or report verdicts per family (JSON)")
     _add_source_flags(p_geo, include_alpha=False)
     mode = p_geo.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--init", help="u,v,x,du,dv,dx")
+    mode.add_argument("--init", help="u,v,x,du,dv,dx; the CSV has one row per accepted solver step")
     mode.add_argument("--family", help="comma list from: timelike,null,dv_orbit,spacelike")
     p_geo.add_argument("--span", type=float, default=10.0, help="affine span for --init runs")
     p_geo.add_argument("--count", type=int, default=20, help="samples per family")

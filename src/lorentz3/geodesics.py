@@ -7,10 +7,21 @@ chart with u chosen as the parameter the transverse equation is the Euler
 equation  x'' = (b / u^2) x,  whose solution basis is decided by the sign
 of the discriminant 1 + 4b.
 
+Every integration uses the explicit Runge-Kutta pair of Dormand and
+Prince of order 8(5,3), scipy's ``DOP853`` (Hairer, Norsett & Wanner,
+*Solving Ordinary Differential Equations I*, 2nd ed., section II.10), at
+rtol 1e-10 and atol 1e-12 unless the caller passes others.  A trajectory
+is the solver's accepted steps, and every verdict record carries the
+solver's work (``nfev``, ``nsteps``).
+
 Completeness verdicts are numerical *evidence*, never proofs, and the
 reports say so.  Incompleteness is certified by a domain-boundary hit at
 finite affine parameter, cross-checked against the exact affine law for u
 and the fitted closed-form transverse solution, not by integrator failure.
+A failed integration yields no verdict and no trajectory: it raises
+:class:`SolutionLeftFloatRange`.  The work of one integration grows with
+the phase of its transverse solution, so a run whose phase exceeds
+``MAX_PHASE`` is refused before it starts (:class:`TransversePhaseTooLarge`).
 
 Integration returns the trajectory only.  The conservation audit of the
 first integral g(gamma', gamma') is :func:`conservation_drift`, which the
@@ -33,6 +44,22 @@ DEFAULT_U_MIN = 1e-8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_HORIZON = 1e4
+# Bound on the transverse phase of one integration (see transverse_phase).
+# The solver's step count grows with the phase, and past about
+# ln(float max)/2 ~ 354 the growing mode's x^2, and with it v, leaves float
+# range for order-one data on a hyperbolic profile.  The geodesic runs of
+# verify and the benchmark stay below 80.
+MAX_PHASE = 300.0
+
+
+class TransversePhaseTooLarge(ValueError):
+    """The transverse solution of the requested run turns through more
+    phase than MAX_PHASE, so its work is refused before it starts."""
+
+
+class SolutionLeftFloatRange(ValueError):
+    """The solver's step size fell below float spacing before the end of
+    the span or before u reached u_min: the solution left float range."""
 
 
 @dataclass(frozen=True)
@@ -77,16 +104,18 @@ def geodesic_rhs(chart: PowerLaw | Constant, y: np.ndarray) -> np.ndarray:
 class GeodesicResult:
     """Sampled trajectory plus termination bookkeeping.
 
-    ``terminated`` is one of completed_span, hit_domain_boundary,
-    step_underflow.  ``boundary_time`` holds the affine parameter of the
-    u -> 0 hit when applicable, with ``predicted_boundary_time`` from the
-    exact affine law u(t) = u0 + du0 * t.  The result carries no
-    self-check: :func:`conservation_drift` audits a trajectory on request.
+    ``terminated`` is completed_span or hit_domain_boundary.
+    ``boundary_time`` holds the affine parameter of the u -> 0 hit when
+    applicable, with ``predicted_boundary_time`` from the exact affine law
+    u(t) = u0 + du0 * t.  ``nfev`` counts right-hand-side evaluations.  The
+    result carries no self-check: :func:`conservation_drift` audits a
+    trajectory on request.
     """
 
     times: np.ndarray
     states: np.ndarray  # shape (n, 6)
     terminated: str
+    nfev: int
     boundary_time: Optional[float] = None
     predicted_boundary_time: Optional[float] = None
 
@@ -98,6 +127,27 @@ class GeodesicResult:
         return rows
 
 
+def transverse_phase(chart: PowerLaw | Constant, initial: GeodesicState, span: tuple[float, float]) -> float:
+    """Phase of the transverse solution over the u-range a run can cover.
+
+    With u as the parameter, x'' = H(u) du^2 x.  On a Constant chart that
+    is sqrt|h| |du| |span|.  On PowerLaw(b) the Euler equation has
+    exponents (1 +- sqrt(1 + 4b)) / 2 in u, so the phase is
+    (sqrt|1 + 4b| / 2) ln(u_max / u_min), where the run stops at u_min =
+    DEFAULT_U_MIN.  It counts radians where the solution oscillates and
+    e-folds where it grows.
+    """
+    du = initial.velocity[0]
+    if du == 0.0:  # u is constant and x linear in t
+        return 0.0
+    length = span[1] - span[0]
+    if isinstance(chart, Constant):
+        return math.sqrt(abs(chart.h_value)) * abs(du) * abs(length)
+    u0 = initial.position[0]
+    u1 = max(u0 + du * length, DEFAULT_U_MIN)
+    return math.sqrt(abs(1.0 + 4.0 * chart.b)) / 2.0 * abs(math.log(u1 / u0))
+
+
 def integrate_geodesic(
     chart: PowerLaw | Constant,
     initial: GeodesicState,
@@ -106,11 +156,14 @@ def integrate_geodesic(
     atol: float = DEFAULT_ATOL,
     t_eval=None,
 ) -> GeodesicResult:
-    """Adaptive integration with domain-boundary detection.
+    """Adaptive DOP853 integration with domain-boundary detection.
 
     ``span`` may run backwards (t1 < t0) but both ends must be finite.  On
     half-space charts the boundary event u = DEFAULT_U_MIN is armed, and the
-    start must lie above it: the event fires only on a crossing.
+    start must lie above it: the event fires only on a crossing.  A run
+    whose :func:`transverse_phase` exceeds MAX_PHASE raises
+    :class:`TransversePhaseTooLarge` before any step; a run the solver
+    cannot finish raises :class:`SolutionLeftFloatRange`.
     """
     if not all(math.isfinite(t) for t in span):
         raise ValueError(f"span = {tuple(span)}: both ends must be finite")
@@ -118,6 +171,11 @@ def integrate_geodesic(
     u0 = initial.position[0]
     if chart.half_space and not u0 > DEFAULT_U_MIN:
         raise ValueError(f"u0 = {u0} is not above the boundary level u_min = {DEFAULT_U_MIN}")
+    phase = transverse_phase(chart, initial, span)
+    if not phase <= MAX_PHASE:
+        raise TransversePhaseTooLarge(
+            f"transverse phase {phase:.4g} over span {tuple(span)} exceeds the work bound {MAX_PHASE:g}"
+        )
     y0 = initial.as_array()
 
     events = []
@@ -133,7 +191,7 @@ def integrate_geodesic(
         lambda t, y: geodesic_rhs(chart, y),
         span,
         y0,
-        method="RK45",
+        method="DOP853",
         rtol=rtol,
         atol=atol,
         events=events or None,
@@ -148,8 +206,10 @@ def integrate_geodesic(
         terminated = "completed_span"
         boundary_time = None
     else:
-        terminated = "step_underflow"
-        boundary_time = None
+        raise SolutionLeftFloatRange(
+            f"the solver stopped at t = {sol.t[-1]:.6g} of span {tuple(span)} "
+            f"({sol.message}): the solution left float range"
+        )
 
     du0 = initial.velocity[0]
     predicted = None
@@ -163,6 +223,7 @@ def integrate_geodesic(
         times=sol.t,
         states=sol.y.T,
         terminated=terminated,
+        nfev=int(sol.nfev),
         boundary_time=boundary_time,
         predicted_boundary_time=predicted,
     )
@@ -367,14 +428,18 @@ def _verdict_power_law(chart: PowerLaw, family: str, states: list[GeodesicState]
     all_hit = True
     all_complete = True
     for st in states:
-        rec = {"initial": list(st.position) + list(st.velocity)}
+        rec = {"initial": list(st.position) + list(st.velocity), "nfev": 0, "nsteps": 0}
         hit_some_direction = False
         # try the direction in which u decreases first: a boundary hit there
-        # settles the verdict without integrating out to the affine horizon
+        # settles the verdict without integrating out to the affine horizon.
+        # A run that fails raises, so a sample without a hit completed the
+        # span both ways.
         du0 = st.velocity[0]
         directions = (-1.0, +1.0) if du0 > 0 else (+1.0, -1.0)
         for direction in directions:
             res = integrate_geodesic(chart, st, (0.0, direction * DEFAULT_HORIZON))
+            rec["nfev"] += res.nfev
+            rec["nsteps"] += len(res.times) - 1
             if res.terminated == "hit_domain_boundary":
                 hit_some_direction = True
                 rec["direction"] = "forward" if direction > 0 else "backward"
@@ -436,8 +501,12 @@ def _verdict_constant(chart: Constant, family: str, states: list[GeodesicState])
     directly and spot-checked against the integrator on a short span."""
     details = []
     for st in states:
-        rec = {"initial": list(st.position) + list(st.velocity)}
         res = integrate_geodesic(chart, st, (0.0, 50.0))
+        rec = {
+            "initial": list(st.position) + list(st.velocity),
+            "nfev": res.nfev,
+            "nsteps": len(res.times) - 1,
+        }
         x_exact = constant_chart_transverse(chart, st)
         gap = max(
             abs(row[2] - x_exact(t)) / max(1.0, abs(x_exact(t)))

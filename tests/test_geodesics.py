@@ -88,6 +88,59 @@ class TestIntegration:
                 PowerLaw(2.0), geo.GeodesicState.of(-1, 0, 0, 0, 1, 0), (0.0, 1.0)
             )
 
+    def test_boundary_hit_work_is_under_half_of_rk45(self):
+        # RK45 at the same rtol/atol needed 8210 evaluations and 1368 steps
+        # for this run, because x ~ 1/u as u -> u_min
+        rk45_nfev = 8210
+        res = geo.integrate_geodesic(
+            PowerLaw(2.0), geo.GeodesicState.of(1, 0, 0.3, -1, 0.5, 0.2), (0.0, 5.0)
+        )
+        assert res.terminated == "hit_domain_boundary"
+        assert res.nfev < rk45_nfev / 2
+        assert 1 <= len(res.times) - 1 < res.nfev
+
+    def test_failed_integration_raises(self):
+        # x grows like cosh(t) from 1e30: v ~ x^2 overflows near t = 284,
+        # inside the phase bound; no truncated trajectory comes back
+        with pytest.raises(geo.SolutionLeftFloatRange, match="left float range"):
+            geo.integrate_geodesic(
+                Constant(1.0), geo.GeodesicState.of(1, 0, 1e30, 1, 0, 0), (0.0, 290.0)
+            )
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize(
+        "chart, state, span, phase",
+        [
+            (Constant(-1.0), (1, 0, 1, 3, 0, 0), (0.0, -2.0), 6.0),
+            (Constant(0.0), (1, 0, 1, 3, 0, 0), (0.0, 50.0), 0.0),
+            (PowerLaw(2.0), (1, 0, 1, 1, 0, 0), (0.0, math.e - 1), 1.5),
+            # the run stops at u_min = 1e-8
+            (PowerLaw(-2.5), (1, 0, 1, -1, 0, 0), (0.0, 5.0), 1.5 * math.log(1e8)),
+            (PowerLaw(2.0), (1, 0, 1, 0, 1, 0), (0.0, 1e4), 0.0),
+        ],
+    )
+    def test_transverse_phase(self, chart, state, span, phase):
+        got = geo.transverse_phase(chart, geo.GeodesicState.of(*state), span)
+        assert got == pytest.approx(phase, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "chart, state",
+        [
+            (Constant(-1.0), (1, 0, 1, 1e5, 0, 0)),
+            (Constant(1.0), (1, 0, 1, 1e3, 0, 0)),
+            (PowerLaw(-1e6), (1, 0, 0.3, -1, 0.5, 0.2)),
+            (PowerLaw(-1e10), (1, 0, 0.3, -1, 0.5, 0.2)),
+        ],
+    )
+    def test_refused_before_any_step(self, monkeypatch, chart, state):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(geo, "solve_ivp", no_solve)
+        with pytest.raises(geo.TransversePhaseTooLarge, match="work bound"):
+            geo.integrate_geodesic(chart, geo.GeodesicState.of(*state), (0.0, 1.0))
+
 
 class TestClosedForms:
     def test_b_two_power_solution(self):
@@ -188,6 +241,21 @@ class TestCompleteness:
     def test_no_verdict_without_samples(self, chart):
         with pytest.raises(ValueError):
             geo.completeness_report(chart, families=("timelike",), count=0)
+
+    def test_every_record_counts_the_solver_work(self):
+        for chart in (PowerLaw(2.0), Constant(-1.0)):
+            rep = geo.completeness_report(chart, families=geo.FAMILIES, count=2, seed=4)
+            for fam in rep.verdicts.values():
+                for rec in fam.details:
+                    assert 1 <= rec["nsteps"] < rec["nfev"]
+
+    def test_failed_sample_gives_no_verdict(self, monkeypatch):
+        # v ~ x^2 leaves float range both ways before u reaches u_min or the
+        # horizon; such a sample once counted as complete
+        huge = geo.GeodesicState.of(1.0, 0.0, 1e100, -1.0, 0.0, 0.0)
+        monkeypatch.setattr(geo, "sample_initial_conditions", lambda *args: [huge])
+        with pytest.raises(geo.SolutionLeftFloatRange):
+            geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=1)
 
     def test_report_is_seed_deterministic(self):
         a = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
