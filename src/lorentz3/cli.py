@@ -230,7 +230,7 @@ def _resolve_report(args):
 def _resolve_chart(args):
     if getattr(args, "alpha", None) is not None:  # geodesic has no --alpha
         alpha, _ = _parse_rational(args.alpha)
-        return RosenChart.power_law(float(alpha))
+        return RosenChart(float(alpha))
     return _resolve_report(args).brinkmann_chart
 
 
@@ -303,7 +303,7 @@ def _cmd_transform(args, parser) -> int:
     payload = {
         "alpha": float(alpha),
         "b": tr.b,
-        "rosen_metric": f"2 du dv + u^{2 * float(alpha):g} dx^2 on u > 0",
+        "rosen_metric": f"2 du dv + {tr.rosen_chart.label} dx^2 on u > 0",
         "brinkmann_metric": f"2 du dv + ({tr.b:g}/u^2) x^2 du^2 + dx^2 on u > 0",
         "point_map": "u = u', v = v' + (alpha/2) u'^-1 x'^2, x = u'^-alpha x'",
         "inverse_map": "u' = u, x' = u^alpha x, v' = v - (alpha/2) u^(2 alpha - 1) x^2",

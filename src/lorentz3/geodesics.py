@@ -187,17 +187,20 @@ def integrate_geodesic(
         boundary.terminal = True
         events.append(boundary)
 
-    sol = solve_ivp(
-        lambda t, y: geodesic_rhs(chart, y),
-        span,
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=events or None,
-        t_eval=t_eval,
-        dense_output=False,
-    )
+    # a solution that leaves float range overflows inside the solver; that
+    # is reported below as SolutionLeftFloatRange, not as warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            lambda t, y: geodesic_rhs(chart, y),
+            span,
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            events=events or None,
+            t_eval=t_eval,
+            dense_output=False,
+        )
 
     if sol.status == 1:
         terminated = "hit_domain_boundary"

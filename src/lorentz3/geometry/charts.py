@@ -6,20 +6,17 @@ Coordinate order is fixed as (u, v, x) everywhere.  Two chart families:
   H(u) = b / u^2 on the half space u > 0 (:class:`PowerLaw`) or H(u) = h
   on all of R^3 (:class:`Constant`; h = +1 and -1 are the two symmetric
   indecomposable models, h = 0 is Minkowski).
-* Rosen form  g = 2 du dv + delta(u) dx^2 on u > 0 (:class:`RosenChart`),
-  either the power law delta(u) = u^(2 alpha) or a general positive profile
-  supplied with its derivatives.
+* Rosen form  g = 2 du dv + delta(u) dx^2 on u > 0 with the power law
+  delta(u) = u^(2 alpha) (:class:`RosenChart`), the chart of the homogeneous
+  plane wave with b = alpha^2 - alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
-
-from .findiff import partial_derivative
 
 U, V, Xc = 0, 1, 2
 
@@ -68,78 +65,42 @@ class Constant:
         return f"Constant(h={self.h_value})"
 
 
-def _numeric_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
-    """f' by the oracle's Richardson difference, step 1e-5 * max(1, |u|)."""
-
-    def df(u: float, _f=f) -> float:
-        step = 1e-5 * max(1.0, abs(u))
-        return float(partial_derivative(lambda p: _f(float(p[0])), (u,), 0, step))
-
-    return df
-
-
 @dataclass(frozen=True)
 class RosenChart:
-    """Rosen form g = 2 du dv + delta(u) dx^2 on u > 0.
+    """Rosen form g = 2 du dv + u^(2 alpha) dx^2 on u > 0.
 
-    ``F`` is an antiderivative of 1/delta, needed for the Killing fields.
-    ``alpha`` is set when the profile is the power law u^(2 alpha), in which
-    case all derivatives and F are exact closed forms (with the logarithmic
-    branch at alpha = 1/2 where the power rule degenerates).
+    The profile delta, its derivatives and F, an antiderivative of 1/delta
+    needed for the Killing fields, are exact closed forms; F takes the
+    logarithmic branch at alpha = 1/2, where the power rule degenerates.
+    The equivalent Brinkmann chart is PowerLaw(alpha^2 - alpha).
     """
 
-    delta: Callable[[float], float]
-    ddelta: Callable[[float], float]
-    d2delta: Callable[[float], float]
-    F: Optional[Callable[[float], float]] = None
-    alpha: Optional[float] = None
-    label: str = "custom"
+    alpha: float
 
     @property
     def half_space(self) -> bool:
         return True
 
-    @classmethod
-    def power_law(cls, alpha: float) -> "RosenChart":
-        a = float(alpha)
+    @property
+    def label(self) -> str:
+        return f"u^{2 * self.alpha:g}"
 
-        def delta(u: float) -> float:
-            return u ** (2 * a)
+    def delta(self, u: float) -> float:
+        return u ** (2 * self.alpha)
 
-        def ddelta(u: float) -> float:
-            return 2 * a * u ** (2 * a - 1)
+    def ddelta(self, u: float) -> float:
+        a = self.alpha
+        return 2 * a * u ** (2 * a - 1)
 
-        def d2delta(u: float) -> float:
-            return 2 * a * (2 * a - 1) * u ** (2 * a - 2)
+    def d2delta(self, u: float) -> float:
+        a = self.alpha
+        return 2 * a * (2 * a - 1) * u ** (2 * a - 2)
 
-        if a == 0.5:
-            F = math.log
-        else:
-
-            def F(u: float, _p=1 - 2 * a) -> float:
-                return u**_p / _p
-
-        return cls(
-            delta=delta,
-            ddelta=ddelta,
-            d2delta=d2delta,
-            F=F,
-            alpha=a,
-            label=f"u^{2 * a:g}",
-        )
-
-    @classmethod
-    def from_profile(
-        cls,
-        delta: Callable[[float], float],
-        ddelta: Optional[Callable[[float], float]] = None,
-        d2delta: Optional[Callable[[float], float]] = None,
-        F: Optional[Callable[[float], float]] = None,
-        label: str = "custom",
-    ) -> "RosenChart":
-        d1 = ddelta if ddelta is not None else _numeric_derivative(delta)
-        d2 = d2delta if d2delta is not None else _numeric_derivative(d1)
-        return cls(delta=delta, ddelta=d1, d2delta=d2, F=F, label=label)
+    def F(self, u: float) -> float:
+        if self.alpha == 0.5:
+            return math.log(u)
+        p = 1 - 2 * self.alpha
+        return u**p / p
 
     def __str__(self) -> str:
         return f"Rosen(delta={self.label})"

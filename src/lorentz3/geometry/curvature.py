@@ -27,7 +27,6 @@ from .charts import (
     U,
     V,
     Xc,
-    _numeric_derivative,
     check_domain,
     inverse_metric_at,
     metric_at,
@@ -69,12 +68,10 @@ def brinkmann_profile_value(chart: RosenChart, u: float) -> float:
 
 
 def brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
-    """H'(u) of :func:`brinkmann_profile_value`: closed form on power-law
-    charts, the oracle's Richardson difference otherwise."""
-    if chart.alpha is not None:
-        a = chart.alpha
-        return -2.0 * (a * a - a) / u**3
-    return _numeric_derivative(lambda s: brinkmann_profile_value(chart, s))(u)
+    """H'(u) of :func:`brinkmann_profile_value`, in closed form: H(u) = b/u^2
+    with b = alpha^2 - alpha."""
+    a = chart.alpha
+    return -2.0 * (a * a - a) / u**3
 
 
 def _uxux_tensor(value: float) -> np.ndarray:
@@ -109,7 +106,8 @@ def scalar_curvature(chart: Chart, point) -> float:
 
 
 def nabla_riemann(chart: Chart, point, direction) -> np.ndarray:
-    """(del_m R)_ijkl for a coordinate direction or a direction vector.
+    """(del_m R)_ijkl for a coordinate direction, by name ("u", "v", "x")
+    or by index.
 
     Exactly zero along v and x (the plane-wave property); along u the
     nonzero components are the (u,x,u,x) orbit of H'(u) on Brinkmann charts
@@ -118,17 +116,14 @@ def nabla_riemann(chart: Chart, point, direction) -> np.ndarray:
     check_domain(chart, point)
     if isinstance(direction, str):
         direction = _DIRECTION_NAMES[direction]
-    if isinstance(direction, (int, np.integer)):
-        vec = np.zeros(3)
-        vec[direction] = 1.0
-    else:
-        vec = np.asarray(direction, dtype=float)
+    if direction != U:
+        return np.zeros((3, 3, 3, 3))
     u = point[U]
     if isinstance(chart, RosenChart):
         du_value = chart.delta(u) * brinkmann_profile_derivative(chart, u)
     else:
         du_value = chart.dh(u)
-    return _uxux_tensor(vec[U] * du_value)
+    return _uxux_tensor(du_value)
 
 
 def covariant_R_derivative(chart: Chart, point, direction) -> float:

@@ -87,9 +87,6 @@ def heis_killing_fields(chart: RosenChart) -> tuple[VectorField, VectorField, Ve
     Their commutators realize the Heisenberg relations: [d_x, xi] = d_v and
     everything else vanishes.
     """
-    if chart.F is None:
-        raise ValueError("Rosen chart carries no antiderivative handle F")
-
     def xi_value(p):
         u, _, x = p
         return np.array([0.0, x, -chart.F(u)])
@@ -138,8 +135,6 @@ def commutator_values(f1: VectorField, f2: VectorField, point) -> np.ndarray:
 def rosen_shear_flow(chart: RosenChart, t: float, point) -> tuple[float, float, float]:
     """Time-t map of the one-parameter group generated by the shear field:
     (u, v, x) -> (u, v + t x - t^2/2 F(u), x - t F(u))."""
-    if chart.F is None:
-        raise ValueError("Rosen chart carries no antiderivative handle F")
     u, v, x = point
     f = chart.F(u)
     return (u, v + t * x - 0.5 * t * t * f, x - t * f)

@@ -294,7 +294,7 @@ def _killing_suite():
             if r > 1e-9:
                 problems.append(f"PowerLaw({b}) {f.name}: residual {r:.2e}")
     for alpha in (-1.0, 0.0, 2.0):
-        chart = RosenChart.power_law(alpha)
+        chart = RosenChart(alpha)
         fields = heis_killing_fields(chart)
         for f in fields:
             r = killing_residual(chart, f, grid)
@@ -537,7 +537,7 @@ def _metric_scaling():
 @check("geometry-oracle-agreement", "geometry")
 def _oracle_agreement():
     grid = default_grid(shape=(5, 5, 5))
-    charts = [PowerLaw(2.0), PowerLaw(-0.5), Constant(1.0), RosenChart.power_law(-1.0)]
+    charts = [PowerLaw(2.0), PowerLaw(-0.5), Constant(1.0), RosenChart(-1.0)]
     worst_gamma = 0.0
     worst_r = 0.0
     for chart in charts:
@@ -557,7 +557,7 @@ def _oracle_agreement():
 @check("geometry-riemann-symmetries", "geometry")
 def _riemann_symmetries():
     worst = 0.0
-    for chart in (PowerLaw(2.0), PowerLaw(-0.25), Constant(-1.0), RosenChart.power_law(0.5)):
+    for chart in (PowerLaw(2.0), PowerLaw(-0.25), Constant(-1.0), RosenChart(0.5)):
         for p in default_grid(shape=(3, 2, 3)):
             worst = max(worst, riemann_symmetry_residual(riemann_tensor(chart, p)))
     return worst <= 1e-9, f"worst symmetry/Bianchi residual {worst:.2e}"
@@ -566,7 +566,7 @@ def _riemann_symmetries():
 @check("geometry-parallel-null-field", "geometry")
 def _parallel_dv():
     worst = 0.0
-    for chart in (PowerLaw(2.0), Constant(1.0), RosenChart.power_law(2.0)):
+    for chart in (PowerLaw(2.0), Constant(1.0), RosenChart(2.0)):
         for p in default_grid(shape=(3, 2, 3)):
             gamma = christoffels(chart, p)
             worst = max(worst, float(np.max(np.abs(gamma[:, :, 1]))))
@@ -578,7 +578,7 @@ def _scalar_flat():
     from .geometry import scalar_curvature
 
     worst = 0.0
-    for chart in (PowerLaw(2.0), PowerLaw(-0.5), Constant(1.0), RosenChart.power_law(-1.0)):
+    for chart in (PowerLaw(2.0), PowerLaw(-0.5), Constant(1.0), RosenChart(-1.0)):
         for p in default_grid(shape=(3, 2, 3)):
             worst = max(worst, abs(scalar_curvature(chart, p)))
     return worst <= 1e-12, f"max |scalar curvature| = {worst:.2e}"

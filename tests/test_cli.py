@@ -237,6 +237,7 @@ class TestGeodesic:
                 for rec in family["details"]:
                     assert 1 <= rec["nsteps"] < rec["nfev"], source
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_integration_gives_no_verdict_or_trajectory(self, capsys, schema_validator):
         cases = [
             # x ~ u^-19.5 towards u -> 0: the phase bound refuses the run;

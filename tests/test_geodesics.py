@@ -99,6 +99,7 @@ class TestIntegration:
         assert res.nfev < rk45_nfev / 2
         assert 1 <= len(res.times) - 1 < res.nfev
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_integration_raises(self):
         # x grows like cosh(t) from 1e30: v ~ x^2 overflows near t = 284,
         # inside the phase bound; no truncated trajectory comes back
@@ -249,6 +250,7 @@ class TestCompleteness:
                 for rec in fam.details:
                     assert 1 <= rec["nsteps"] < rec["nfev"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_sample_gives_no_verdict(self, monkeypatch):
         # v ~ x^2 leaves float range both ways before u reaches u_min or the
         # horizon; such a sample once counted as complete

@@ -8,9 +8,9 @@ from lorentz3.geometry import (
     PowerLaw,
     RosenChart,
     boost_field,
+    brinkmann_profile_value,
     commutator_values,
     coordinate_field,
-    general_rosen_to_brinkmann,
     heis_killing_fields,
     killing_residual,
     metric_at,
@@ -27,7 +27,7 @@ GRID = default_grid(shape=(4, 3, 4))
 
 class TestKillingResiduals:
     def test_dv_is_killing_on_every_chart(self):
-        for chart in (PowerLaw(2.0), Constant(-1.0), RosenChart.power_law(2.0)):
+        for chart in (PowerLaw(2.0), Constant(-1.0), RosenChart(2.0)):
             assert killing_residual(chart, coordinate_field("v"), GRID) == 0.0
 
     def test_boost_on_brinkmann(self):
@@ -45,44 +45,44 @@ class TestKillingResiduals:
         assert killing_residual(Constant(1.0), coordinate_field("x"), [(0.3, 0.0, 0.5)]) == pytest.approx(1.0)
 
     def test_rosen_scaling_isometry(self):
-        chart = RosenChart.power_law(-1.0)
+        chart = RosenChart(-1.0)
         assert killing_residual(chart, scaling_field(-1.0), GRID) <= 1e-9
 
 
 class TestHeisenbergFields:
     def test_minkowski_shear(self):
-        chart = RosenChart.power_law(0.0)  # delta = 1
+        chart = RosenChart(0.0)  # delta = 1
         _, _, xi = heis_killing_fields(chart)
         val = xi((2.0, 5.0, 3.0))
         assert val == pytest.approx([0.0, 3.0, -2.0])  # x d_v - u d_x
 
     def test_alpha_minus_one_antiderivative(self):
-        chart = RosenChart.power_law(-1.0)  # delta = u^-2, F = u^3/3
+        chart = RosenChart(-1.0)  # delta = u^-2, F = u^3/3
         _, _, xi = heis_killing_fields(chart)
         val = xi((2.0, 0.0, 1.0))
         assert val[2] == pytest.approx(-(2.0**3) / 3.0)
 
     def test_log_branch_at_alpha_half(self):
-        chart = RosenChart.power_law(0.5)  # delta = u, F = log u
+        chart = RosenChart(0.5)  # delta = u, F = log u
         _, _, xi = heis_killing_fields(chart)
         assert xi((math.e, 0.0, 0.0))[2] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.0])
     def test_all_three_are_killing(self, alpha):
-        chart = RosenChart.power_law(alpha)
+        chart = RosenChart(alpha)
         for field in heis_killing_fields(chart):
             assert killing_residual(chart, field, GRID) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
     def test_bracket_relations(self, alpha):
-        zf, xf, yf = heis_killing_fields(RosenChart.power_law(alpha))
+        zf, xf, yf = heis_killing_fields(RosenChart(alpha))
         for p in GRID[::7]:
             assert np.allclose(commutator_values(xf, yf, p), [0.0, 1.0, 0.0], atol=1e-8)
             assert np.allclose(commutator_values(zf, yf, p), 0.0, atol=1e-8)
             assert np.allclose(commutator_values(zf, xf, p), 0.0, atol=1e-8)
 
     def test_flow_is_a_one_parameter_group(self):
-        chart = RosenChart.power_law(-1.0)
+        chart = RosenChart(-1.0)
         p = (1.5, 0.3, -0.8)
         t, s = 0.7, -1.9
         via_two_steps = rosen_shear_flow(chart, s, rosen_shear_flow(chart, t, p))
@@ -90,7 +90,7 @@ class TestHeisenbergFields:
         assert np.allclose(via_two_steps, in_one_step, atol=1e-12)
 
     def test_flow_is_isometric(self):
-        chart = RosenChart.power_law(2.0)
+        chart = RosenChart(2.0)
         p = (1.2, 0.1, 0.4)
         t = 0.35
         h = 1e-6
@@ -129,28 +129,17 @@ class TestRosenBrinkmann:
         assert roundtrip_residual(tr.point_map, tr.inverse_map, grid) <= 1e-12
 
     def test_general_profile_matches_power_law(self):
+        # H = delta''/(2 delta) - delta'^2/(4 delta^2) equals b/u^2, b = alpha^2 - alpha
         for alpha in (-1.0, 0.5, 2.0):
-            chart = RosenChart.power_law(alpha)
-            gen = general_rosen_to_brinkmann(chart)
+            chart = RosenChart(alpha)
             b = alpha * alpha - alpha
             for u in (0.5, 1.0, 1.7, 3.0):
-                assert abs(gen.h(u) - b / u**2) <= 1e-8
+                assert abs(brinkmann_profile_value(chart, u) - b / u**2) <= 1e-8
 
     def test_general_profile_examples(self):
-        flat = general_rosen_to_brinkmann(RosenChart.power_law(1.0))  # delta = u^2
-        assert flat.h(0.7) == pytest.approx(0.0, abs=1e-12)
-        trivial = general_rosen_to_brinkmann(RosenChart.power_law(0.0))  # delta = 1
-        assert trivial.h(1.3) == 0.0
-        inv_sq = general_rosen_to_brinkmann(RosenChart.power_law(-1.0))  # delta = u^-2
-        assert inv_sq.h(2.0) == pytest.approx(2.0 / 4.0)
-
-    def test_general_map_pullback(self):
-        chart = RosenChart.power_law(2.0)
-        gen = general_rosen_to_brinkmann(chart)
-        grid = default_grid(shape=(4, 3, 4))
-        assert pullback_residual(gen.point_map, chart, PowerLaw(2.0), grid) <= 1e-8
-
-    def test_numeric_profile_without_analytic_derivatives(self):
-        chart = RosenChart.from_profile(lambda u: u ** (-2.0), label="u^-2 numeric")
-        gen = general_rosen_to_brinkmann(chart)
-        assert gen.h(1.5) == pytest.approx(2.0 / 1.5**2, rel=1e-6)
+        flat = RosenChart(1.0)  # delta = u^2
+        assert brinkmann_profile_value(flat, 0.7) == pytest.approx(0.0, abs=1e-12)
+        trivial = RosenChart(0.0)  # delta = 1
+        assert brinkmann_profile_value(trivial, 1.3) == 0.0
+        inv_sq = RosenChart(-1.0)  # delta = u^-2
+        assert brinkmann_profile_value(inv_sq, 2.0) == pytest.approx(2.0 / 4.0)

@@ -60,3 +60,25 @@ def test_classify_and_curvature_do_not_load_scipy():
         timeout=120,
     )
     assert out.stdout.strip() == "False", out.stdout + out.stderr
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_closed_form_layer_never_imports_its_oracle():
+    # findiff checks the closed forms; a closed form built on findiff would
+    # make that comparison circular
+    offenders = []
+    for name in ("charts.py", "curvature.py", "killing.py", "transforms.py"):
+        path = SRC / "geometry" / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any("findiff" in module.split(".") for module in _imported_modules(tree)):
+            offenders.append(name)
+    assert not offenders, offenders
