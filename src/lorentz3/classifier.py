@@ -2,8 +2,9 @@
 
 The decision tree is exact rational arithmetic throughout:
 
-* tr(A-bar) = 0 (unimodular, the symmetric branch):
-  nilpotent quotient action -> flat Minkowski model; positive discriminant
+* tr(A-bar) = 0 (unimodular, the symmetric branch): the sign of the
+  discriminant tr^2 - 4 det of A-bar decides.  Zero (a nilpotent quotient
+  action, once homotheties are refused) -> flat Minkowski model; positive
   -> the hyperbolic symmetric model; negative -> the elliptic one.
 * tr(A-bar) != 0: everything is decided by the invariant
   b = -det(A-bar) / tr(A-bar)^2, with thresholds at b = 0 (flat half
@@ -28,7 +29,6 @@ from .lie_core import (
     is_derivation,
     is_homothety_on_quotient,
     normalize_to_canonical,
-    spectrum_on_quotient,
 )
 from .metric_builder import (
     NoInvariantMetric,
@@ -75,28 +75,27 @@ class SpaceClass:
             return
         if self.b is None:
             raise ValueError(f"{self.tag} requires the b invariant")
-        if self.tag == HALF_MINKOWSKI_FLAT and self.b != 0:
-            raise ValueError("flat half Minkowski has b = 0")
-        if self.tag == NONUNI_PARABOLIC and self.b != _QUARTER:
-            raise ValueError("parabolic class has b = -1/4")
-        if self.tag == NONUNI_ELLIPTIC and not self.b < _QUARTER:
-            raise ValueError("elliptic class has b < -1/4")
-        if self.tag == NONUNI_HYPERBOLIC and (self.b <= _QUARTER or self.b == 0):
-            raise ValueError("hyperbolic class has b > -1/4, b != 0")
+        tag = _tag_for_b(self.b)
+        if tag != self.tag:
+            raise ValueError(f"b = {self.b} lies in {tag}, not in {self.tag}")
 
     def __str__(self) -> str:
         return self.tag if self.b is None else f"{self.tag}(b={self.b})"
 
 
+def _tag_for_b(b) -> str:
+    """The non-unimodular class of b: flat half Minkowski at b = 0, the
+    parabolic boundary at b = -1/4, elliptic below it, hyperbolic above."""
+    if b == 0:
+        return HALF_MINKOWSKI_FLAT
+    if b == _QUARTER:
+        return NONUNI_PARABOLIC
+    return NONUNI_ELLIPTIC if b < _QUARTER else NONUNI_HYPERBOLIC
+
+
 def class_from_b(b) -> SpaceClass:
     b, _ = as_rational(b)
-    if b == 0:
-        return SpaceClass(HALF_MINKOWSKI_FLAT, b)
-    if b == _QUARTER:
-        return SpaceClass(NONUNI_PARABOLIC, b)
-    if b < _QUARTER:
-        return SpaceClass(NONUNI_ELLIPTIC, b)
-    return SpaceClass(NONUNI_HYPERBOLIC, b)
+    return SpaceClass(_tag_for_b(b), b)
 
 
 def classify(a: Derivation) -> SpaceClass:
@@ -108,13 +107,11 @@ def classify(a: Derivation) -> SpaceClass:
         raise NoInvariantMetric(
             "quotient action is a homothety: no invariant Lorentz metric exists"
         )
-    spec = spectrum_on_quotient(a)
-    if spec.trace == 0:
-        if spec.type == "nilpotent-nonzero":
+    if a.trace_quotient == 0:
+        disc = a.discriminant_quotient
+        if disc == 0:
             return SpaceClass(MINKOWSKI_FLAT)
-        if spec.discriminant > 0:
-            return SpaceClass(CW_HYPERBOLIC)
-        return SpaceClass(CW_ELLIPTIC)
+        return SpaceClass(CW_HYPERBOLIC if disc > 0 else CW_ELLIPTIC)
     return class_from_b(invariant_b(a))
 
 

@@ -123,6 +123,26 @@ def _parse_rational(text: str) -> tuple[Fraction, bool]:
     return as_rational(float(text))
 
 
+def _check_b_fits(b: Fraction, what: str) -> None:
+    """Every chart and report carries float(b): refuse a b that has none."""
+    try:
+        float(b)
+    except OverflowError:
+        raise OverflowError(f"{what} does not fit in a float") from None
+
+
+def _parse_b(text: str, flag: str) -> tuple[Fraction, bool]:
+    b, rationalized = _parse_rational(text)
+    _check_b_fits(b, f"{flag} {text}: b")
+    return b, rationalized
+
+
+def _parse_alpha(text: str) -> tuple[Fraction, bool]:
+    alpha, rationalized = _parse_rational(text)
+    _check_b_fits(alpha * alpha - alpha, f"--alpha {text}: b = alpha^2 - alpha")
+    return alpha, rationalized
+
+
 def _parse_derivation(text: str) -> tuple[Derivation, bool]:
     """JSON text or a path to a JSON file; row-major 3x3, basis (Z, X, Y)."""
     try:
@@ -214,12 +234,12 @@ def _resolve_report(args):
         d, rationalized = _parse_derivation(args.derivation)
         return space_report(d, rationalized_input=rationalized)
     if args.b is not None:
-        b, rationalized = _parse_rational(args.b)
+        b, rationalized = _parse_b(args.b, "--b")
         return report_from_class(
             class_from_b(b), normalization={"rationalized_input": rationalized}
         )
     if getattr(args, "alpha", None) is not None:
-        alpha, rationalized = _parse_rational(args.alpha)
+        alpha, rationalized = _parse_alpha(args.alpha)
         return report_from_class(
             class_from_b(alpha * alpha - alpha),
             normalization={"rationalized_input": rationalized},
@@ -229,7 +249,7 @@ def _resolve_report(args):
 
 def _resolve_chart(args):
     if getattr(args, "alpha", None) is not None:  # geodesic has no --alpha
-        alpha, _ = _parse_rational(args.alpha)
+        alpha, _ = _parse_alpha(args.alpha)
         return RosenChart(float(alpha))
     return _resolve_report(args).brinkmann_chart
 
@@ -298,7 +318,7 @@ def _cmd_geodesic(args, parser) -> int:
 
 
 def _cmd_transform(args, parser) -> int:
-    alpha, _ = _parse_rational(args.alpha)
+    alpha, _ = _parse_alpha(args.alpha)
     tr = rosen_to_brinkmann(float(alpha))
     payload = {
         "alpha": float(alpha),
@@ -331,12 +351,12 @@ def _cmd_survey(args, parser) -> int:
             lo_hi, _, count = chunk.partition(":")
             lo, _, hi = lo_hi.partition("..")
             n = int(count) if count else 9
-            lo_q, _ = _parse_rational(lo)
-            hi_q, _ = _parse_rational(hi)
+            lo_q, _ = _parse_b(lo, "--b-grid")
+            hi_q, _ = _parse_b(hi, "--b-grid")
             step = (hi_q - lo_q) / (n - 1) if n > 1 else Fraction(0)
             values.extend(lo_q + step * k for k in range(n))
         else:
-            q, _ = _parse_rational(chunk)
+            q, _ = _parse_b(chunk, "--b-grid")
             values.append(q)
     entries = []
     for b in values:

@@ -262,10 +262,9 @@ def conservation_drift(chart: PowerLaw | Constant, initial: GeodesicState, resul
 # ---------------------------------------------------------------------------
 
 
-def closed_form_x(b: float, t: float, which: int) -> float:
-    """Basis solutions of the Euler equation x'' = (b / t^2) x on t > 0.
-
-    which = 0 or 1 selects the basis member:
+def euler_basis(b: float, t: float):
+    """Basis solutions ``(f0, f1)`` of the Euler equation x'' = (b / t^2) x
+    on t > 0, and their derivatives ``(f0', f1')``:
 
     * 1 + 4b > 0:  t^(r+), t^(r-) with r = (1 +- sqrt(1 + 4b)) / 2
     * 1 + 4b = 0:  sqrt(t), sqrt(t) ln t
@@ -275,59 +274,26 @@ def closed_form_x(b: float, t: float, which: int) -> float:
     if t <= 0:
         raise ValueError("closed-form basis lives on t > 0")
     disc = 1.0 + 4.0 * b
-    if abs(disc) <= 1e-13:
-        root = math.sqrt(t)
-        return root if which == 0 else root * math.log(t)
-    if disc > 0:
-        s = math.sqrt(disc)
-        r = (1.0 + s) / 2.0 if which == 0 else (1.0 - s) / 2.0
-        return t**r
-    w = math.sqrt(-disc) / 2.0
     root = math.sqrt(t)
-    phase = w * math.log(t)
-    return root * math.cos(phase) if which == 0 else root * math.sin(phase)
-
-
-def closed_form_x_derivative(b: float, t: float, which: int) -> float:
-    if t <= 0:
-        raise ValueError("closed-form basis lives on t > 0")
-    disc = 1.0 + 4.0 * b
     if abs(disc) <= 1e-13:
-        if which == 0:
-            return 0.5 / math.sqrt(t)
-        return (math.log(t) + 2.0) / (2.0 * math.sqrt(t))
+        log = math.log(t)
+        return (root, root * log), (0.5 / root, (log + 2.0) / (2.0 * root))
     if disc > 0:
         s = math.sqrt(disc)
-        r = (1.0 + s) / 2.0 if which == 0 else (1.0 - s) / 2.0
-        return r * t ** (r - 1.0)
+        rp, rm = (1.0 + s) / 2.0, (1.0 - s) / 2.0
+        return (t**rp, t**rm), (rp * t ** (rp - 1.0), rm * t ** (rm - 1.0))
     w = math.sqrt(-disc) / 2.0
     phase = w * math.log(t)
-    if which == 0:
-        return (0.5 * math.cos(phase) - w * math.sin(phase)) / math.sqrt(t)
-    return (0.5 * math.sin(phase) + w * math.cos(phase)) / math.sqrt(t)
-
-
-def fit_transverse_solution(b: float, t0: float, x0: float, dx0: float):
-    """Coefficients (c0, c1) with x = c0 f0 + c1 f1 matching (x0, dx0) at t0."""
-    m = np.array(
-        [
-            [closed_form_x(b, t0, 0), closed_form_x(b, t0, 1)],
-            [closed_form_x_derivative(b, t0, 0), closed_form_x_derivative(b, t0, 1)],
-        ]
-    )
-    c = np.linalg.solve(m, np.array([x0, dx0]))
-
-    def x_of_t(t, _c=c, _b=b):
-        return _c[0] * closed_form_x(_b, t, 0) + _c[1] * closed_form_x(_b, t, 1)
-
-    return c, x_of_t
+    cos, sin = math.cos(phase), math.sin(phase)
+    return (root * cos, root * sin), ((0.5 * cos - w * sin) / root, (0.5 * sin + w * cos) / root)
 
 
 def transverse_profile_in_u(chart: PowerLaw, initial: GeodesicState):
     """Fitted x as a function of u along a geodesic with du/dt != 0.
 
     Since u is affine, x satisfies the Euler equation in the u variable with
-    slope dx/du = (dx/dt) / (du/dt) at u0.
+    slope dx/du = (dx/dt) / (du/dt) at u0; x is the combination c0 f0 + c1 f1
+    of :func:`euler_basis` that matches x and that slope at u0.
     """
     du0 = initial.velocity[0]
     if du0 == 0.0:
@@ -335,7 +301,12 @@ def transverse_profile_in_u(chart: PowerLaw, initial: GeodesicState):
     u0 = initial.position[0]
     x0 = initial.position[2]
     slope = initial.velocity[2] / du0
-    _, x_of_u = fit_transverse_solution(chart.b, u0, x0, slope)
+    c = np.linalg.solve(np.array(euler_basis(chart.b, u0)), np.array([x0, slope]))
+
+    def x_of_u(u, _c=c, _b=chart.b):
+        f0, f1 = euler_basis(_b, u)[0]
+        return _c[0] * f0 + _c[1] * f1
+
     return x_of_u
 
 

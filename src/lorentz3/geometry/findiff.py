@@ -1,15 +1,12 @@
 """Finite-difference oracle for the tensor machinery.
 
 Every closed-form quantity in :mod:`lorentz3.geometry.curvature` is checked
-against plain central differences (with one Richardson extrapolation level)
-applied one differentiation layer below it:
+against plain central differences (with one Richardson extrapolation level):
 
 * Christoffel symbols  <-  differences of the metric components,
-* Riemann tensor       <-  differences of Christoffel symbols,
+* Riemann tensor       <-  differences of those Christoffel differences, so
+  from metric values alone: noisier, but independent of every closed form,
 * covariant derivative of R  <-  differences of Riemann components.
-
-The fully nested variants (everything derived from metric values alone) are
-also provided; they are noisier but independent of every closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +16,8 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_STEP = 1e-5
+RIEMANN_INNER_STEP = 1e-4
+RIEMANN_OUTER_STEP = 3e-4
 
 
 def partial_derivative(f: Callable, point, axis: int, step: float = DEFAULT_STEP):
@@ -52,16 +51,22 @@ def christoffels_fd(metric_fn: Callable, point, step: float = DEFAULT_STEP) -> n
     return gamma
 
 
-def riemann_from_gamma_fd(
-    gamma_fn: Callable, metric_fn: Callable, point, step: float = 1e-4
-) -> np.ndarray:
-    """R_ijkl = g(R(d_i, d_j) d_k, d_l) from differences of a Gamma function.
+def riemann_fd(metric_fn: Callable, point) -> np.ndarray:
+    """Fully nested oracle: R_ijkl = g(R(d_i, d_j) d_k, d_l) from metric
+    values only, by differences of :func:`christoffels_fd`.
+
+    The inner step is larger than the single-layer default: the outer
+    difference divides the inner roundoff by its own step, so the inner
+    layer is run roundoff-limited rather than truncation-limited.
 
     The curvature convention is R(X, Y)Z = del_X del_Y Z - del_Y del_X Z
     - del_[X,Y] Z; for coordinate fields the bracket term drops.
     """
-    gamma = np.asarray(gamma_fn(point), dtype=float)
-    dgamma = np.stack([partial_derivative(gamma_fn, point, m, step) for m in range(3)])
+    gamma_fn = lambda q: christoffels_fd(metric_fn, q, RIEMANN_INNER_STEP)
+    gamma = gamma_fn(point)
+    dgamma = np.stack(
+        [partial_derivative(gamma_fn, point, m, RIEMANN_OUTER_STEP) for m in range(3)]
+    )
     g = np.asarray(metric_fn(point), dtype=float)
     upper = np.zeros((3, 3, 3, 3))  # upper[i, j, k, l] = (R(d_i, d_j) d_k)^l
     for i in range(3):
@@ -76,28 +81,11 @@ def riemann_from_gamma_fd(
     return np.einsum("ijkm,ml->ijkl", upper, g)
 
 
-def riemann_fd(metric_fn: Callable, point, inner_step: float = 1e-4, outer_step: float = 3e-4) -> np.ndarray:
-    """Fully nested oracle: Riemann from metric values only.
-
-    The inner step is larger than the single-layer default: the outer
-    difference divides the inner roundoff by its own step, so the inner
-    layer is run roundoff-limited rather than truncation-limited.
-    """
-    gamma_fn = lambda q: christoffels_fd(metric_fn, q, inner_step)
-    return riemann_from_gamma_fd(gamma_fn, metric_fn, point, outer_step)
-
-
-def nabla_riemann_fd(
-    riemann_fn: Callable,
-    gamma_fn: Callable,
-    point,
-    direction: int,
-    step: float = DEFAULT_STEP,
-) -> np.ndarray:
+def nabla_riemann_fd(riemann_fn: Callable, gamma_fn: Callable, point, direction: int) -> np.ndarray:
     """(del_m R)_ijkl from differences of a Riemann function plus the four
     connection correction terms."""
     r0 = np.asarray(riemann_fn(point), dtype=float)
-    dr = partial_derivative(riemann_fn, point, direction, step)
+    dr = partial_derivative(riemann_fn, point, direction)
     gamma = np.asarray(gamma_fn(point), dtype=float)
     gm = gamma[:, direction, :]  # gm[p, a] = Gamma^p_{direction a}
     out = np.array(dr)

@@ -272,40 +272,6 @@ def is_derivation(matrix) -> bool:
     return m[1][0] == 0 and m[2][0] == 0 and m[0][0] == m[1][1] + m[2][2]
 
 
-@dataclass(frozen=True)
-class QuotientSpectrum:
-    """Invariants of the induced 2x2 action on heis/Z, decided exactly."""
-
-    trace: Fraction
-    det: Fraction
-    discriminant: Fraction
-    type: str  # real-diagonalizable | real-nondiagonalizable | complex | nilpotent-nonzero | zero
-
-
-def spectrum_on_quotient(a: Derivation) -> QuotientSpectrum:
-    if not is_derivation(a):
-        raise ValueError("not a derivation")
-    tr = a.trace_quotient
-    det = a.det_quotient
-    disc = a.discriminant_quotient
-    block = a.quotient_block
-    lam = tr / 2
-    is_scalar = block == ((lam, Fraction(0)), (Fraction(0), lam))
-    if block == ((0, 0), (0, 0)):
-        kind = "zero"
-    elif disc < 0:
-        kind = "complex"
-    elif disc > 0:
-        kind = "real-diagonalizable"
-    elif is_scalar:
-        kind = "real-diagonalizable"  # homothety: repeated eigenvalue, diagonal
-    elif lam == 0:
-        kind = "nilpotent-nonzero"
-    else:
-        kind = "real-nondiagonalizable"
-    return QuotientSpectrum(trace=tr, det=det, discriminant=disc, type=kind)
-
-
 def is_homothety_on_quotient(a: Derivation) -> bool:
     """True when A-bar = lambda * Id (including lambda = 0)."""
     ((p, q), (r, s)) = a.quotient_block

@@ -32,11 +32,11 @@ from .lie_core import (
     Derivation,
     IsotropyChoice,
     Vec3,
+    _mat_mul,
     as_rational,
     # perfbench/layers.py traces this name in this module.
     extend_algebra,
     is_derivation,
-    spectrum_on_quotient,
 )
 
 BASIS_LABELS = ("T", "Yprime", "Z")
@@ -86,15 +86,9 @@ def _nilpotency_order_mod_w(a: Derivation, w: IsotropyChoice) -> int:
         cols.append([red[i] for i in keep])
     m = [[cols[j][i] for j in range(3)] for i in range(3)]
 
-    def mat_mul(p, q):
-        return [
-            [sum(p[i][k] * q[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
     power = [[Fraction(1) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
     for order in range(1, 5):
-        power = mat_mul(power, m)
+        power = _mat_mul(power, m)
         if all(e == 0 for row in power for e in row):
             return order
     raise ArithmeticError("ad_W mod W is not nilpotent; impossible for heis data")
@@ -237,28 +231,30 @@ def skew_residual(metric: InvariantMetric, ad_on_m) -> Fraction:
 
 def has_transverse_subalgebra(a: Derivation) -> bool:
     """True iff some 3-dimensional subalgebra is transverse to the isotropy,
-    i.e. the quotient action has a real eigenvector."""
-    return spectrum_on_quotient(a).type != "complex"
+    i.e. the quotient action has a real eigenvector.  A real 2x2 matrix has
+    real spectrum exactly when its discriminant tr^2 - 4 det is >= 0."""
+    if not is_derivation(a):
+        raise ValueError("not a derivation")
+    return a.discriminant_quotient >= 0
 
 
 def standard_isotropy_for(a: Derivation) -> IsotropyChoice:
     """A non-central W with admits_metric, matching the tabulated choices:
-    X + Y for diagonalizable quotient actions, Y for parabolic/nilpotent,
-    X for the non-real case.
+    X + Y when the quotient spectrum is real and simple (disc > 0), Y when
+    it is repeated (disc = 0: parabolic or nilpotent), X when it is not
+    real (disc < 0).
 
-    Falls back to scanning a small set of candidates, so it also works for
-    conjugated or rescaled inputs.  Raises NoInvariantMetric when no choice
-    can work (quotient action is a homothety).
+    When the preferred class is an eigenvector (a conjugated or rescaled
+    input), X + Y, X and Y are tried in turn.  These three classes are
+    pairwise independent, and a quotient action that is not a homothety
+    has at most two eigenlines, so one of them admits the metric.  A
+    homothety makes every class an eigenvector and raises NoInvariantMetric.
     """
-    spectrum = spectrum_on_quotient(a).type
-    preferred = {
-        "real-diagonalizable": (0, 1, 1),
-        "real-nondiagonalizable": (0, 0, 1),
-        "complex": (0, 1, 0),
-        "nilpotent-nonzero": (0, 0, 1),
-    }.get(spectrum, (0, 1, 0))
-    candidates = [preferred, (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 1, -1), (0, 2, 1)]
-    for g, al, be in candidates:
+    if not is_derivation(a):
+        raise ValueError("not a derivation")
+    disc = a.discriminant_quotient
+    preferred = (0, 1, 1) if disc > 0 else (0, 0, 1) if disc == 0 else (0, 1, 0)
+    for g, al, be in (preferred, (0, 1, 1), (0, 1, 0), (0, 0, 1)):
         w = IsotropyChoice.of(g, al, be)
         if twist_coefficient(a, w) != 0:
             return w

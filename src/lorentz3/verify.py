@@ -364,9 +364,9 @@ def _closed_form_vs_numeric():
     b = -0.5
     w = math.sqrt(-(1.0 + 4.0 * b)) / 2.0
     for t in np.linspace(0.1, 10.0, 25):
-        f = geo.closed_form_x(b, t, 0)
+        f = geo.euler_basis(b, t)[0][0]
         h = 1e-5 * max(1.0, t)
-        d2 = (geo.closed_form_x(b, t + h, 0) - 2 * f + geo.closed_form_x(b, t - h, 0)) / h**2
+        d2 = (geo.euler_basis(b, t + h)[0][0] - 2 * f + geo.euler_basis(b, t - h)[0][0]) / h**2
         if abs(d2 - b * f / (t * t)) > 1e-4:
             problems.append(f"oscillatory branch residual at t={t:.2f}")
             break

@@ -123,6 +123,13 @@ class TestClassify:
             SpaceClass("NonUnimodularElliptic", Fraction(1))
         with pytest.raises(ValueError):
             SpaceClass("MinkowskiFlat", Fraction(1))
+        for tag, b in (
+            ("HalfMinkowskiFlat", 1),
+            ("NonUnimodularParabolic", 0),
+            ("NonUnimodularHyperbolic", 0),
+        ):
+            with pytest.raises(ValueError):
+                SpaceClass(tag, Fraction(b))
 
     @given(rationals.filter(lambda q: q != 0))
     @settings(max_examples=40)

@@ -93,7 +93,6 @@ class TestClassify:
             (("classify", "--derivation", "[[null,0,0],[0,1,0],[0,0,0]]"), "ValueError"),
             (("classify", "--derivation", "[[1e400,0,0],[0,1,0],[0,0,0]]"), "OverflowError"),
             (("classify", "--b", "inf"), "OverflowError"),
-            (("classify", "--b", "1e400"), "OverflowError"),
             (("classify", "--alpha", "inf"), "OverflowError"),
             (("survey", "--b-grid", "inf"), "OverflowError"),
             (("geodesic", "--b", "2", "--family", "timelike", "--count", "0"), "ValueError"),
@@ -130,6 +129,16 @@ class TestClassify:
             )
         }
         cases += [(argv, "ValueError") for argv in zero_denominators]
+        # b itself has no float value: the message blames the flag, not u
+        b_overflows = {
+            ("curvature", "--alpha", "1e200", "--point", "1,0,0"): "--alpha 1e200",
+            ("transform", "--alpha", "1e200"): "--alpha 1e200",
+            ("transform", "--alpha", "1e200", "--verify-grid", "3"): "--alpha 1e200",
+            ("classify", "--b", "1e400"): "--b 1e400",
+            ("geodesic", "--b", "1e400", "--family", "timelike"): "--b 1e400",
+            ("survey", "--b-grid", "1e400"): "--b-grid 1e400",
+        }
+        cases += [(argv, "OverflowError") for argv in b_overflows]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -139,6 +148,11 @@ class TestClassify:
             if argv in zero_denominators:
                 message = payload["error"]["message"]
                 assert f"{zero_denominators[argv]!r} has a zero denominator" in message, argv
+            if argv in b_overflows:
+                message = payload["error"]["message"]
+                assert message.startswith(f"{b_overflows[argv]}: b"), argv
+                assert message.endswith("does not fit in a float"), argv
+                assert "u =" not in message and "inf" not in message, argv
             if error_type == "ProfileNotFinite":
                 assert "far enough from 0" in payload["error"]["precondition"], argv
             if error_type == "OutputNotWritable":

@@ -147,12 +147,13 @@ class TestClosedForms:
     def test_b_two_power_solution(self):
         # r+ = 2: x = t^2 solves x'' = 2 x / t^2
         for t in (0.3, 1.0, 2.5):
-            assert geo.closed_form_x(2.0, t, 0) == pytest.approx(t * t)
+            assert geo.euler_basis(2.0, t)[0][0] == pytest.approx(t * t)
 
     def test_parabolic_boundary_sqrt_branch(self):
         for t in (0.5, 1.0, 4.0):
-            assert geo.closed_form_x(-0.25, t, 0) == pytest.approx(math.sqrt(t))
-            assert geo.closed_form_x(-0.25, t, 1) == pytest.approx(math.sqrt(t) * math.log(t))
+            f0, f1 = geo.euler_basis(-0.25, t)[0]
+            assert f0 == pytest.approx(math.sqrt(t))
+            assert f1 == pytest.approx(math.sqrt(t) * math.log(t))
 
     def test_oscillatory_branch_solves_the_equation(self):
         b = -0.5
@@ -163,15 +164,12 @@ class TestClosedForms:
             h = 1e-5 * max(1.0, t)
 
             def diff(s):
-                return (
-                    geo.closed_form_x_derivative(b, t + s, 0)
-                    - geo.closed_form_x_derivative(b, t - s, 0)
-                ) / (2 * s)
+                return (geo.euler_basis(b, t + s)[1][0] - geo.euler_basis(b, t - s)[1][0]) / (2 * s)
 
             return (4.0 * diff(h / 2) - diff(h)) / 3.0
 
         for t in np.linspace(0.1, 10.0, 40):
-            residual = abs(second_derivative(t) - b * geo.closed_form_x(b, t, 0) / t**2)
+            residual = abs(second_derivative(t) - b * geo.euler_basis(b, t)[0][0] / t**2)
             assert residual < 1e-10 * max(1.0, 1.0 / t)
 
     @pytest.mark.parametrize("b", [2.0, 1.0, 0.0, -0.25, -0.5])
@@ -184,10 +182,12 @@ class TestClosedForms:
         assert gap <= 1e-8
 
     def test_fit_reproduces_initial_conditions(self):
-        coeffs, x_of_t = geo.fit_transverse_solution(2.0, 1.5, 0.7, -0.2)
-        assert x_of_t(1.5) == pytest.approx(0.7)
+        # u0 = 1.5, x0 = 0.7 and dx/du = dx/dt / du/dt = -0.2
+        st_ = geo.GeodesicState.of(1.5, 0.0, 0.7, 1.0, 0.0, -0.2)
+        x_of_u = geo.transverse_profile_in_u(PowerLaw(2.0), st_)
+        assert x_of_u(1.5) == pytest.approx(0.7)
         h = 1e-6
-        slope = (x_of_t(1.5 + h) - x_of_t(1.5 - h)) / (2 * h)
+        slope = (x_of_u(1.5 + h) - x_of_u(1.5 - h)) / (2 * h)
         assert slope == pytest.approx(-0.2, abs=1e-8)
 
 

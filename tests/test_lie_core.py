@@ -22,7 +22,6 @@ from lorentz3.lie_core import (
     normalize_to_canonical,
     rotation_scale_automorphism,
     shear_automorphism,
-    spectrum_on_quotient,
 )
 
 Z, X, Y, T = 0, 1, 2, 3
@@ -146,36 +145,23 @@ class TestJacobi:
 
 class TestSpectrum:
     def test_distinct_real_eigenvalues(self):
-        spec = spectrum_on_quotient(Derivation.hyperbolic_diag(2))
-        assert spec.type == "real-diagonalizable"
-        assert spec.trace == 3 and spec.det == 2
+        a = Derivation.hyperbolic_diag(2)
+        assert a.trace_quotient == 3 and a.det_quotient == 2
+        assert a.discriminant_quotient == 1
 
     def test_complex_pair(self):
-        spec = spectrum_on_quotient(Derivation.elliptic(1))
-        assert spec.type == "complex"
-        assert spec.det == 2 and spec.discriminant == -4
-
-    def test_nilpotent_block(self):
-        spec = spectrum_on_quotient(Derivation.nilpotent())
-        assert spec.type == "nilpotent-nonzero"
-
-    def test_zero_block(self):
-        spec = spectrum_on_quotient(Derivation.inner(1, 2))
-        assert spec.type == "zero"
-
-    def test_homothety_is_diagonalizable(self):
-        spec = spectrum_on_quotient(Derivation.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        assert spec.type == "real-diagonalizable"
+        a = Derivation.elliptic(1)
+        assert a.det_quotient == 2 and a.discriminant_quotient == -4
 
     @given(derivations, nonzero_rationals)
     @settings(max_examples=60)
     def test_scaling_action(self, a, lam):
-        base = spectrum_on_quotient(a)
-        scaled = spectrum_on_quotient(a.scaled(lam))
-        assert scaled.trace == lam * base.trace
-        assert scaled.det == lam * lam * base.det
-        if base.type in ("real-diagonalizable", "complex", "real-nondiagonalizable"):
-            assert scaled.type == base.type
+        # lam^2 > 0, so the sign of the discriminant (real, repeated or
+        # non-real spectrum) never moves
+        scaled = a.scaled(lam)
+        assert scaled.trace_quotient == lam * a.trace_quotient
+        assert scaled.det_quotient == lam * lam * a.det_quotient
+        assert scaled.discriminant_quotient == lam * lam * a.discriminant_quotient
 
 
 class TestNormalize:

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz3.lie_core import Derivation, IsotropyChoice
+from lorentz3.lie_core import (
+    Derivation,
+    IsotropyChoice,
+    compose_automorphisms,
+    conjugate_derivation,
+    diagonal_automorphism,
+    inner_automorphism,
+    is_homothety_on_quotient,
+    rotation_scale_automorphism,
+    shear_automorphism,
+)
 from lorentz3.metric_builder import (
     InvariantMetric,
     NoInvariantMetric,
@@ -25,6 +35,27 @@ derivations = st.builds(
         [[p + s, zx, zy], [0, p, q], [0, r, s]]
     ),
     *(rationals,) * 6,
+)
+
+homotheties = st.builds(
+    lambda lam, zx, zy: Derivation.from_rows([[2 * lam, zx, zy], [0, lam, 0], [0, 0, lam]]),
+    *(rationals,) * 3,
+)
+
+nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+automorphisms = st.builds(
+    lambda t1, t2, s, p, q, u, v: compose_automorphisms(
+        diagonal_automorphism(t1, t2),
+        shear_automorphism(s),
+        rotation_scale_automorphism(p, q),
+        inner_automorphism(u, v),
+    ),
+    nonzero_rationals,
+    nonzero_rationals,
+    rationals,
+    nonzero_rationals,
+    *(rationals,) * 3,
 )
 
 isotropy = st.builds(
@@ -172,3 +203,17 @@ class TestStandardIsotropy:
             standard_isotropy_for(Derivation.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
         with pytest.raises(NoInvariantMetric):
             standard_isotropy_for(Derivation.inner(1, 1))
+
+    @given(st.one_of(derivations, homotheties), automorphisms)
+    @settings(max_examples=100)
+    def test_conjugated_inputs_get_a_standard_choice(self, a, phi):
+        # X + Y, X and Y are pairwise independent and a non-scalar quotient
+        # action has at most two eigenlines, so one of them always works
+        a = conjugate_derivation(a, phi)
+        if is_homothety_on_quotient(a):
+            with pytest.raises(NoInvariantMetric):
+                standard_isotropy_for(a)
+            return
+        w = standard_isotropy_for(a)
+        assert w.heis_coefficients in ((0, 1, 1), (0, 1, 0), (0, 0, 1))
+        assert admits_metric(a, w)

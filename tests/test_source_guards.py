@@ -82,3 +82,18 @@ def test_closed_form_layer_never_imports_its_oracle():
         if any("findiff" in module.split(".") for module in _imported_modules(tree)):
             offenders.append(name)
     assert not offenders, offenders
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the traced benchmark run patches these names; one deleted from the
+    # package would break that run and nothing else
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    import layers
+    import spans
+
+    missing = [
+        f"{getattr(namespace, '__name__', namespace)}.{attr}"
+        for namespace, attr, _ in layers.replacements(spans.Recorder(), layers.Counters())
+        if not hasattr(namespace, attr)
+    ]
+    assert not missing, missing
