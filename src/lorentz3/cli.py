@@ -17,6 +17,10 @@ output is byte-identical across repeated runs with the same config and seed.
 No tolerance is settable: the verify checks, the transform pullback gate, the
 completeness horizon and the geodesic work bound are module constants, and no
 command reads the environment.
+
+One parser serves every :func:`main` call in a process: :func:`build_parser`
+runs at the first call, and each call parses its argv into a fresh namespace,
+so no call sees another's values.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +55,7 @@ from .geometry import (
     rosen_to_brinkmann,
     roundtrip_residual,
 )
-from .lie_core import Derivation, _as_matrix, as_rational, is_derivation
+from .lie_core import Derivation, _as_matrix, as_rational, invariant_b, is_derivation
 from .verify import run_suite, suite_names
 
 _CLASS_NAMES = {
@@ -124,11 +128,14 @@ def _parse_rational(text: str) -> tuple[Fraction, bool]:
 
 
 def _check_b_fits(b: Fraction, what: str) -> None:
-    """Every chart and report carries float(b): refuse a b that has none."""
+    """Every chart and report carries float(b): refuse a b that has none,
+    and a nonzero b whose float is 0.0 (a flat chart under a curved class)."""
     try:
-        float(b)
+        fits = float(b) != 0.0 or b == 0
     except OverflowError:
-        raise OverflowError(f"{what} does not fit in a float") from None
+        fits = False
+    if not fits:
+        raise OverflowError(f"{what} does not fit in a float")
 
 
 def _parse_b(text: str, flag: str) -> tuple[Fraction, bool]:
@@ -155,6 +162,8 @@ def _parse_derivation(text: str) -> tuple[Derivation, bool]:
         raise ValueError(
             "matrix violates the derivation law: the Z column must equal (A_XX + A_YY, 0, 0)"
         )
+    if d.trace_quotient != 0:
+        _check_b_fits(invariant_b(d), "--derivation: b = -det(A-bar)/tr(A-bar)^2")
     return d, rationalized
 
 
@@ -454,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # the one tree every main call parses with
+
+
 def _absorb_negative_values(argv: list[str]) -> list[str]:
     """Join '--flag -1/2' into '--flag=-1/2' so argparse does not mistake
     negative rationals, points, or ranges for option names.  The only
@@ -479,7 +491,7 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_absorb_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args, parser)

@@ -7,6 +7,14 @@ against plain central differences (with one Richardson extrapolation level):
 * Riemann tensor       <-  differences of those Christoffel differences, so
   from metric values alone: noisier, but independent of every closed form,
 * covariant derivative of R  <-  differences of Riemann components.
+
+Index convention of the array forms: ``dg[m, i, j] = d_m g_ij``,
+``gamma[k, i, j] = Gamma^k_ij`` and ``dgamma[m, k, i, j] = d_m Gamma^k_ij``.
+Then ``s[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij`` gives
+``Gamma^k_ij = 1/2 g^kl s[i, j, l]``, and with ``dterm[i, j, k, l] =
+d_i Gamma^l_jk`` and ``gg[i, j, k, l] = Gamma^l_ip Gamma^p_jk``,
+``(R(d_i, d_j) d_k)^l = dterm - dterm[j, i] + gg - gg[j, i]``, summed in that
+order.
 """
 
 from __future__ import annotations
@@ -41,14 +49,8 @@ def christoffels_fd(metric_fn: Callable, point, step: float = DEFAULT_STEP) -> n
     g = np.asarray(metric_fn(point), dtype=float)
     ginv = np.linalg.inv(g)
     dg = np.stack([partial_derivative(metric_fn, point, m, step) for m in range(3)])
-    gamma = np.zeros((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                gamma[k, i, j] = 0.5 * np.dot(
-                    ginv[k], dg[i][j, :] + dg[j][i, :] - dg[:, i, j]
-                )
-    return gamma
+    s = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)  # s[i, j, l]
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, s)
 
 
 def riemann_fd(metric_fn: Callable, point) -> np.ndarray:
@@ -68,16 +70,9 @@ def riemann_fd(metric_fn: Callable, point) -> np.ndarray:
         [partial_derivative(gamma_fn, point, m, RIEMANN_OUTER_STEP) for m in range(3)]
     )
     g = np.asarray(metric_fn(point), dtype=float)
-    upper = np.zeros((3, 3, 3, 3))  # upper[i, j, k, l] = (R(d_i, d_j) d_k)^l
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                upper[i, j, k] = (
-                    dgamma[i][:, j, k]
-                    - dgamma[j][:, i, k]
-                    + gamma[:, i, :] @ gamma[:, j, k]
-                    - gamma[:, j, :] @ gamma[:, i, k]
-                )
+    dterm = np.einsum("iljk->ijkl", dgamma)
+    gg = np.einsum("lip,pjk->ijkl", gamma, gamma)
+    upper = dterm - dterm.swapaxes(0, 1) + gg - gg.swapaxes(0, 1)  # (R(d_i, d_j) d_k)^l
     return np.einsum("ijkm,ml->ijkl", upper, g)
 
 

@@ -23,8 +23,12 @@ from lorentz3.geometry import (
 )
 from lorentz3.geometry.curvature import default_grid
 from lorentz3.geometry.findiff import (
+    DEFAULT_STEP,
+    RIEMANN_INNER_STEP,
+    RIEMANN_OUTER_STEP,
     christoffels_fd,
     nabla_riemann_fd,
+    partial_derivative,
     riemann_fd,
 )
 
@@ -142,6 +146,81 @@ class TestRiemann:
     def test_symmetries_everywhere(self, p):
         for chart in (PowerLaw(2.0), Constant(-1.0), RosenChart(0.5)):
             assert riemann_symmetry_residual(riemann_tensor(chart, p)) <= 1e-9
+
+
+def _christoffels_fd_loops(metric_fn, point, step=DEFAULT_STEP):
+    """The oracle's index loops, kept as the reference for its array form."""
+    ginv = np.linalg.inv(np.asarray(metric_fn(point), dtype=float))
+    dg = np.stack([partial_derivative(metric_fn, point, m, step) for m in range(3)])
+    gamma = np.zeros((3, 3, 3))
+    for k, i, j in np.ndindex(3, 3, 3):
+        gamma[k, i, j] = 0.5 * np.dot(ginv[k], dg[i][j, :] + dg[j][i, :] - dg[:, i, j])
+    return gamma
+
+
+def _riemann_fd_loops(metric_fn, point):
+    gamma_fn = lambda q: _christoffels_fd_loops(metric_fn, q, RIEMANN_INNER_STEP)
+    gamma = gamma_fn(point)
+    dgamma = np.stack([partial_derivative(gamma_fn, point, m, RIEMANN_OUTER_STEP) for m in range(3)])
+    upper = np.zeros((3, 3, 3, 3))
+    for i, j, k in np.ndindex(3, 3, 3):
+        upper[i, j, k] = (
+            dgamma[i][:, j, k]
+            - dgamma[j][:, i, k]
+            + gamma[:, i, :] @ gamma[:, j, k]
+            - gamma[:, j, :] @ gamma[:, i, k]
+        )
+    return np.einsum("ijkm,ml->ijkl", upper, np.asarray(metric_fn(point), dtype=float))
+
+
+class TestOracleArrayForm:
+    # on the charts' metrics every contraction has at most one nonzero
+    # term, so the array form repeats the loops' arithmetic exactly
+    charts = [PowerLaw(2.0), PowerLaw(-0.3), Constant(1.0), Constant(-1.0), RosenChart(-1.0), RosenChart(0.5)]
+
+    @given(points, st.sampled_from(charts))
+    @settings(max_examples=25, deadline=None)
+    def test_bitwise_equal_to_the_loops(self, p, chart):
+        metric_fn = lambda q: metric_at(chart, q)
+        assert np.array_equal(christoffels_fd(metric_fn, p), _christoffels_fd_loops(metric_fn, p))
+        assert np.array_equal(riemann_fd(metric_fn, p), _riemann_fd_loops(metric_fn, p))
+
+
+class TestOracleOnDenseMetric:
+    """Plane-wave metrics are mostly zeros, so an index mistake in the
+    oracle's contractions can vanish on them.  Pulled back by a linear map
+    J (q = J q'), every component of the metric is nonzero:
+    g'(q') = J^T g(J q') J, Gamma'^k_ij = (J^-1)^k_a Gamma^a_bc J^b_i J^c_j
+    and R'_ijkl = J^a_i J^b_j J^c_k J^d_l R_abcd."""
+
+    J = np.array([[1.0, 0.3, -0.2], [0.4, 1.1, 0.5], [-0.3, 0.2, 0.9]])
+    CASES = [
+        (PowerLaw(2.0), (1.0, 0.3, -0.4)),
+        (PowerLaw(2.0), (0.7, -1.0, 1.2)),
+        (RosenChart(-1.0), (1.5, 0.2, 0.8)),
+    ]
+    TOL = 1e-6  # verify's DEFAULT_ORACLE_TOL
+
+    def pulled_back(self, chart, p):
+        jac = self.J
+        metric_fn = lambda q: jac.T @ metric_at(chart, tuple(jac @ np.asarray(q))) @ jac
+        return metric_fn, tuple(np.linalg.solve(jac, np.asarray(p)))
+
+    @pytest.mark.parametrize("chart,p", CASES)
+    def test_christoffels_fd(self, chart, p):
+        metric_fn, q = self.pulled_back(chart, p)
+        assert np.count_nonzero(metric_fn(q)) == 9
+        jac = self.J
+        expected = np.einsum("ka,abc,bi,cj->kij", np.linalg.inv(jac), christoffels(chart, p), jac, jac)
+        assert np.max(np.abs(christoffels_fd(metric_fn, q) - expected)) < self.TOL
+
+    @pytest.mark.parametrize("chart,p", CASES)
+    def test_riemann_fd(self, chart, p):
+        metric_fn, q = self.pulled_back(chart, p)
+        jac = self.J
+        expected = np.einsum("abcd,ai,bj,ck,dl->ijkl", riemann_tensor(chart, p), jac, jac, jac, jac)
+        assert np.count_nonzero(np.abs(expected) > 1e-3) > 9  # not the sparse (u,x,u,x) orbit
+        assert np.max(np.abs(riemann_fd(metric_fn, q) - expected)) < self.TOL
 
 
 class TestNablaRiemann:

@@ -1,14 +1,20 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz3 import cli
 from lorentz3.cli import main
 
 
@@ -137,6 +143,14 @@ class TestClassify:
             ("classify", "--b", "1e400"): "--b 1e400",
             ("geodesic", "--b", "1e400", "--family", "timelike"): "--b 1e400",
             ("survey", "--b-grid", "1e400"): "--b-grid 1e400",
+            # b underflows to 0.0: a curved class would carry a flat chart
+            ("classify", "--b", "1e-400"): "--b 1e-400",
+            ("curvature", "--b", "1e-400", "--point", "1,0,0"): "--b 1e-400",
+            ("classify", "--alpha", "1e-400"): "--alpha 1e-400",
+            ("survey", "--b-grid", "1e-400"): "--b-grid 1e-400",
+            # b = -det(A-bar)/tr(A-bar)^2 is 1e400, then 1e-400
+            ("classify", "--derivation", json.dumps([["1e-200", "0", "0"], ["0", "1e-200", "1"], ["0", "1", "0"]])): "--derivation",
+            ("classify", "--derivation", json.dumps([["1e200", "0", "0"], ["0", "1e200", "1"], ["0", "1", "0"]])): "--derivation",
         }
         cases += [(argv, "OverflowError") for argv in b_overflows]
         for argv, error_type in cases:
@@ -477,3 +491,63 @@ class TestErrorContract:
         assert code in (0, 1, 2), argv
         if code == 1:
             schema_validator("error", json.loads(out.getvalue()))
+
+
+class TestOneParserPerProcess:
+    # success, usage error (exit 2), --help (exit 0) and domain error
+    # (exit 1), interleaved so each call follows a different outcome
+    SEQUENCE = [
+        ("classify", "--b", "2"),
+        ("curvature", "--b", "-1/2", "--point", "1,0,0.5"),
+        ("classify",),
+        ("curvature", "--class", "CahenWallachElliptic", "--point", "0.3,0,1"),
+        ("classify", "--help"),
+        ("classify", "--alpha", "1/2"),
+        ("classify", "--b", "inf"),
+        ("curvature", "--b", "2", "--point", "1,0,0", "--grid", "2,2,2:1..2,-1..1,-1..1"),
+        ("classify", "--b", "2"),
+    ]
+
+    @staticmethod
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def fresh_interpreter(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorentz3", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_repeated_calls_print_what_a_fresh_process_prints(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the same width
+        results = [self.in_process(argv) for argv in self.SEQUENCE]
+        assert [r[0] for r in results] == [0, 0, 2, 0, 0, 0, 1, 2, 0]
+        for argv, result in zip(self.SEQUENCE, results):
+            assert result == self.fresh_interpreter(argv), argv
+
+    def test_one_parser_tree_serves_every_call(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        one_tree = len(built)  # the top-level parser and its subcommands
+        built.clear()
+        for argv in self.SEQUENCE * 2:
+            self.in_process(argv)
+        assert len(built) <= one_tree, f"{len(built)} parsers built, one tree has {one_tree}"
