@@ -207,6 +207,13 @@ def _parse_point(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
+def _sample_count(n: int, flag: str) -> int:
+    """A count of sample points: no verdict may rest on an empty sample."""
+    if n < 1:
+        raise ValueError(f"{flag} count = {n}: a sample needs at least one point")
+    return n
+
+
 def _parse_grid(text: str) -> list[tuple[float, float, float]]:
     """nu,nv,nx:umin..umax,vmin..vmax,xmin..xmax"""
     shape_part, _, range_part = text.partition(":")
@@ -221,7 +228,7 @@ def _parse_grid(text: str) -> list[tuple[float, float, float]]:
         ranges.append((_parse_number(lo), _parse_number(hi)))
     if len(ranges) != 3:
         raise ValueError("--grid expects three ranges")
-    return default_grid(*ranges, shape=shape)
+    return default_grid(*ranges, shape=[_sample_count(n, "--grid") for n in shape])
 
 
 def _add_source_flags(sub, include_alpha=True):
@@ -279,21 +286,19 @@ def _cmd_curvature(args, parser) -> int:
     if args.point is not None:
         point = _parse_point(args.point)
         _check_profile_finite(chart, point[0])
-        _emit_json(curvature_report(chart, point).to_json(), args.out)
+        _emit_json(curvature_report(chart, point), args.out)
         return 0
     grid = _parse_grid(args.grid)
-    fields = [coordinate_field("v")]
-    if isinstance(chart, RosenChart):
-        fields.append(heis_killing_fields(chart)[2])
-    else:
-        fields.append(boost_field())
+    dv = coordinate_field("v")
+    extra = heis_killing_fields(chart)[2] if isinstance(chart, RosenChart) else boost_field()
     rows = []
     for p in grid:
         _check_profile_finite(chart, p[0])
         max_r = float(np.max(np.abs(riemann_tensor(chart, p))))
-        max_nabla = max(covariant_R_derivative(chart, p, d) for d in ("u", "v", "x"))
-        k0 = killing_residual(chart, fields[0], [p])
-        k1 = killing_residual(chart, fields[1], [p])
+        # del_v R = del_x R = 0 on every plane wave: u is the only direction
+        max_nabla = covariant_R_derivative(chart, p, "u")
+        k0 = killing_residual(chart, dv, [p])
+        k1 = killing_residual(chart, extra, [p])
         rows.append([p[0], p[1], p[2], max_r, max_nabla, k0, k1])
     _emit_csv(
         ["u", "v", "x", "max_abs_R", "max_nabla_R", "killing_residual_dv", "killing_residual_extra"],
@@ -337,8 +342,8 @@ def _cmd_transform(args, parser) -> int:
         "point_map": "u = u', v = v' + (alpha/2) u'^-1 x'^2, x = u'^-alpha x'",
         "inverse_map": "u' = u, x' = u^alpha x, v' = v - (alpha/2) u^(2 alpha - 1) x^2",
     }
-    if args.verify_grid:
-        n = args.verify_grid
+    if args.verify_grid is not None:
+        n = _sample_count(args.verify_grid, "--verify-grid")
         grid = default_grid(shape=(n, n, n))
         payload["verify_grid_shape"] = [n, n, n]
         payload["pullback_residual"] = pullback_residual(
@@ -362,6 +367,7 @@ def _cmd_survey(args, parser) -> int:
             n = int(count) if count else 9
             lo_q, _ = _parse_b(lo, "--b-grid")
             hi_q, _ = _parse_b(hi, "--b-grid")
+            _sample_count(n, "--b-grid")
             step = (hi_q - lo_q) / (n - 1) if n > 1 else Fraction(0)
             values.extend(lo_q + step * k for k in range(n))
         else:
@@ -374,7 +380,7 @@ def _cmd_survey(args, parser) -> int:
     if args.json:
         _emit_json({"entries": entries}, args.out)
     else:
-        header = list(entries[0].keys()) if entries else ["b", "class"]
+        header = list(entries[0])
         _emit_csv(header, [[e[k] for k in header] for e in entries], args.out)
     return 0
 
@@ -423,14 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_curv)
     mode = p_curv.add_mutually_exclusive_group(required=True)
     mode.add_argument("--point", help="u,v,x")
-    mode.add_argument("--grid", help="nu,nv,nx:umin..umax,vmin..vmax,xmin..xmax")
+    mode.add_argument("--grid", help=(
+        "nu,nv,nx:umin..umax,vmin..vmax,xmin..xmax, each count at least 1; one CSV row per point: u, v, x, "
+        "max_abs_R (max |R_ijkl|), max_nabla_R (max over directions of |del R|), killing_residual_dv and "
+        "killing_residual_extra (max |L_xi g| for xi = d_v and for the boost on Brinkmann charts or the "
+        "Heisenberg shear field on Rosen charts)"))
     p_curv.add_argument("--out")
     p_curv.set_defaults(func=_cmd_curvature)
 
     p_geo = sub.add_parser("geodesic", help="integrate one geodesic (CSV) or report verdicts per family (JSON)")
     _add_source_flags(p_geo, include_alpha=False)
     mode = p_geo.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--init", help="u,v,x,du,dv,dx; the CSV has one row per accepted solver step")
+    mode.add_argument("--init", help=(
+        "u,v,x,du,dv,dx; the CSV has one row per accepted solver step; the absolute error of its "
+        "vel_norm_sq = g(gamma', gamma') scales with its largest term (|2 du dv|, |H x^2 du^2|, dx^2)"))
     mode.add_argument("--family", help="comma list from: timelike,null,dv_orbit,spacelike")
     p_geo.add_argument("--span", type=float, default=10.0, help="affine span for --init runs")
     p_geo.add_argument("--count", type=int, default=20, help="samples per family")

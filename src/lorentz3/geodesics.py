@@ -120,6 +120,10 @@ class GeodesicResult:
     predicted_boundary_time: Optional[float] = None
 
     def csv_rows(self, chart: PowerLaw | Constant) -> list[list[float]]:
+        """Rows t, u, v, x, du, dv, dx, vel_norm_sq = g(gamma', gamma').  The
+        absolute error of vel_norm_sq scales with its largest term (|2 du dv|,
+        |H x^2 du^2|, dx^2), the scale :func:`conservation_drift` measures
+        drift against, and dv itself carries that error."""
         rows = []
         for t, row in zip(self.times, self.states):
             st = GeodesicState(tuple(row[:3]), tuple(row[3:]))

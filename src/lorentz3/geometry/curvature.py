@@ -16,7 +16,6 @@ every chart here (the Ricci tensor is null).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -158,10 +157,9 @@ def max_abs_riemann(chart: Chart, grid: Iterable) -> float:
     return max(float(np.max(np.abs(riemann_tensor(chart, p)))) for p in grid)
 
 
-def is_flat(chart: Chart, sample_grid: Iterable | None = None) -> bool:
-    """True iff max |R_ijkl| < FLAT_TOL everywhere on the grid."""
-    grid = default_grid() if sample_grid is None else sample_grid
-    return max_abs_riemann(chart, grid) < FLAT_TOL
+def is_flat(chart: Chart) -> bool:
+    """True iff max |R_ijkl| < FLAT_TOL everywhere on :func:`default_grid`."""
+    return max_abs_riemann(chart, default_grid()) < FLAT_TOL
 
 
 def sectional_curvature(chart: Chart, point, plane: Sequence) -> float:
@@ -184,44 +182,22 @@ def sectional_curvature(chart: Chart, point, plane: Sequence) -> float:
     return numer / denom
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Point sample of the curvature data, JSON-serializable."""
-
-    point: tuple[float, float, float]
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    nabla_R_norms: dict[str, float]
-    symmetry_residual: float
-
-    def to_json(self) -> dict:
-        nonzero = {}
-        names = "uvx"
-        for idx in itertools.product(range(3), repeat=4):
-            val = float(self.riemann[idx])
-            if val != 0.0:
-                nonzero["".join(names[i] for i in idx)] = val
-        return {
-            "point": {"u": self.point[0], "v": self.point[1], "x": self.point[2]},
-            "riemann_nonzero": nonzero,
-            "ricci": [[float(e) for e in row] for row in self.ricci],
-            "scalar": self.scalar,
-            "nabla_R_norms": dict(self.nabla_R_norms),
-            "max_abs_riemann": float(np.max(np.abs(self.riemann))),
-            "symmetry_residual": self.symmetry_residual,
-        }
-
-
-def curvature_report(chart: Chart, point) -> CurvatureReport:
+def curvature_report(chart: Chart, point) -> dict:
+    """Point sample of the curvature data, as the JSON payload."""
     r = riemann_tensor(chart, point)
-    return CurvatureReport(
-        point=tuple(float(c) for c in point),
-        riemann=r,
-        ricci=ricci(chart, point),
-        scalar=scalar_curvature(chart, point),
-        nabla_R_norms={
+    nonzero = {}
+    for idx in itertools.product(range(3), repeat=4):
+        val = float(r[idx])
+        if val != 0.0:
+            nonzero["".join("uvx"[i] for i in idx)] = val
+    return {
+        "point": dict(zip("uvx", (float(c) for c in point))),
+        "riemann_nonzero": nonzero,
+        "ricci": [[float(e) for e in row] for row in ricci(chart, point)],
+        "scalar": scalar_curvature(chart, point),
+        "nabla_R_norms": {
             name: covariant_R_derivative(chart, point, name) for name in ("u", "v", "x")
         },
-        symmetry_residual=riemann_symmetry_residual(r),
-    )
+        "max_abs_riemann": float(np.max(np.abs(r))),
+        "symmetry_residual": riemann_symmetry_residual(r),
+    }

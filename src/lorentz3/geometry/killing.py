@@ -17,7 +17,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .charts import Chart, RosenChart, U, V, Xc, metric_at, metric_partials
-from .curvature import default_grid
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,15 @@ class VectorField:
         return np.asarray(self.value(point), dtype=float)
 
 
-def coordinate_field(axis) -> VectorField:
-    idx = {"u": U, "v": V, "x": Xc}[axis] if isinstance(axis, str) else int(axis)
+def coordinate_field(axis: str) -> VectorField:
+    idx = {"u": U, "v": V, "x": Xc}[axis]
     e = np.zeros(3)
     e[idx] = 1.0
     zero = np.zeros((3, 3))
     return VectorField(
         value=lambda p, _e=e: _e.copy(),
         jacobian=lambda p, _z=zero: _z.copy(),
-        name=f"d_{'uvx'[idx]}",
+        name=f"d_{axis}",
     )
 
 
@@ -113,12 +112,11 @@ def lie_derivative_of_metric(chart: Chart, field: VectorField, point) -> np.ndar
     return lie
 
 
-def killing_residual(chart: Chart, field: VectorField, grid: Iterable | None = None) -> float:
+def killing_residual(chart: Chart, field: VectorField, grid: Iterable) -> float:
     """max |(L_xi g)_ij| over the grid; <= 1e-9 certifies a Killing field
     at the points sampled."""
-    pts = default_grid() if grid is None else grid
     worst = 0.0
-    for p in pts:
+    for p in grid:
         worst = max(worst, float(np.max(np.abs(lie_derivative_of_metric(chart, field, p)))))
     return worst
 

@@ -139,17 +139,16 @@ def suite_names() -> list[str]:
 @check("acceptance-01-flatness-dichotomy", "geometry")
 def _flatness_dichotomy():
     start = time.perf_counter()
-    grid = default_grid()
     problems = []
     for chart in (PowerLaw(0.0), Constant(0.0)):
-        worst = max_abs_riemann(chart, grid)
-        if not is_flat(chart, grid):
+        worst = max_abs_riemann(chart, default_grid())
+        if not is_flat(chart):
             problems.append(f"{chart} expected flat, max|R|={worst:.2e}")
     near = [(u, 0.0, 0.0) for u in (0.9, 1.0, 1.1)]
     for b in (2.0, 1.0, -0.25, -0.5):
         chart = PowerLaw(b)
         worst = max_abs_riemann(chart, near)
-        if is_flat(chart, grid) or worst <= 0.1:
+        if is_flat(chart) or worst <= 0.1:
             problems.append(f"{chart} expected curved, max|R|={worst:.2e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:

@@ -274,8 +274,7 @@ class TestSectional:
 
 class TestCurvatureReport:
     def test_report_fields(self):
-        rep = curvature_report(PowerLaw(2.0), (1.0, 0.0, 0.0))
-        payload = rep.to_json()
+        payload = curvature_report(PowerLaw(2.0), (1.0, 0.0, 0.0))
         assert payload["scalar"] == pytest.approx(0.0, abs=1e-12)
         assert payload["max_abs_riemann"] == pytest.approx(2.0)
         assert payload["nabla_R_norms"]["u"] == pytest.approx(4.0)

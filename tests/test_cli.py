@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -153,6 +154,18 @@ class TestClassify:
             ("classify", "--derivation", json.dumps([["1e200", "0", "0"], ["0", "1e200", "1"], ["0", "1", "0"]])): "--derivation",
         }
         cases += [(argv, "OverflowError") for argv in b_overflows]
+        # no verdict rests on an empty sample: a count below 1 is refused
+        # where its flag is parsed, and the message names the flag
+        empty_samples = {
+            ("curvature", "--b", "2", "--grid", "0,2,2:1..2,-1..1,-1..1"): "--grid",
+            ("curvature", "--b", "2", "--grid", "2,2,-1:1..2,-1..1,-1..1"): "--grid",
+            ("survey", "--b-grid", "1..2:0"): "--b-grid",
+            ("survey", "--b-grid", "1..2:-3"): "--b-grid",
+            ("survey", "--json", "--b-grid", "1..2:0"): "--b-grid",
+            ("transform", "--alpha", "-1", "--verify-grid", "0"): "--verify-grid",
+            ("transform", "--alpha", "-1", "--verify-grid", "-1"): "--verify-grid",
+        }
+        cases += [(argv, "ValueError") for argv in empty_samples]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -167,6 +180,10 @@ class TestClassify:
                 assert message.startswith(f"{b_overflows[argv]}: b"), argv
                 assert message.endswith("does not fit in a float"), argv
                 assert "u =" not in message and "inf" not in message, argv
+            if argv in empty_samples:
+                message = payload["error"]["message"]
+                assert message.startswith(f"{empty_samples[argv]} count = "), argv
+                assert message.endswith("a sample needs at least one point"), argv
             if error_type == "ProfileNotFinite":
                 assert "far enough from 0" in payload["error"]["precondition"], argv
             if error_type == "OutputNotWritable":
@@ -199,6 +216,55 @@ class TestCurvature:
         ]
         assert len(rows) == 1 + 3 * 2 * 3
         assert all(float(r[5]) == 0.0 for r in rows[1:])
+
+    # source flags, the closed forms (|R|, |del R|) at u, and |h| on the
+    # Cahen-Wallach charts, where the boost is no Killing field
+    SWEEPS = {
+        "b=-1/2": (("--b", "-1/2"), lambda u: (0.5 / u**2, 1.0 / u**3), None),
+        "b=2": (("--b", "2"), lambda u: (2.0 / u**2, 4.0 / u**3), None),
+        "Minkowski": (("--class", "MinkowskiFlat"), lambda u: (0.0, 0.0), None),
+        "CW-hyperbolic": (("--class", "CahenWallachHyperbolic"), lambda u: (1.0, 0.0), 1.0),
+        "CW-elliptic": (("--class", "CahenWallachElliptic"), lambda u: (1.0, 0.0), 1.0),
+        # Rosen: delta(u) |b|/u^2 and 2 delta(u) |b|/u^3, delta = u^(2 alpha), b = alpha^2 - alpha
+        "alpha=-1": (("--alpha", "-1"), lambda u: (u**-2 * 2.0 / u**2, u**-2 * 4.0 / u**3), None),
+        "alpha=1/3": (
+            ("--alpha", "1/3"),
+            lambda u: (u ** (2 / 3) * (2 / 9) / u**2, u ** (2 / 3) * (4 / 9) / u**3),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_sweep_rows_match_point_reports_and_closed_forms(self, capsys, name):
+        source, closed, h = self.SWEEPS[name]
+        code, out = run_cli(capsys, "curvature", *source, "--grid", "3,2,3:0.5..2,-1..1,-1..1")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 3 * 2 * 3
+        for row in rows:
+            u, _, x, max_r, max_nabla, k_dv, k_extra = map(float, row)
+            code, out = run_cli(capsys, "curvature", *source, "--point", ",".join(row[:3]))
+            assert code == 0
+            report = json.loads(out)
+            assert max_r == report["max_abs_riemann"], row
+            assert max_nabla == max(report["nabla_R_norms"].values()), row
+            r_closed, nabla_closed = closed(u)
+            assert math.isclose(max_r, r_closed, rel_tol=1e-12, abs_tol=0.0), row
+            assert math.isclose(max_nabla, nabla_closed, rel_tol=1e-12, abs_tol=0.0), row
+            assert k_dv == 0.0, row
+            if h is None:
+                assert k_extra <= 1e-9, row
+            else:
+                assert k_extra == 2 * h * x * x, row
+
+    def test_grid_help_names_every_column(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["curvature", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for column in ("max_abs_R", "max_nabla_R", "killing_residual_dv", "killing_residual_extra"):
+            assert column in text, column
+        assert "max over directions of |del R|" in text
+        assert "boost" in text and "Heisenberg shear" in text
 
     def test_rosen_chart_grid(self, capsys):
         code, out = run_cli(
@@ -311,6 +377,13 @@ class TestGeodesic:
         with pytest.raises(SystemExit):
             main(["geodesic", "--help"])
         assert "one row per accepted solver step" in " ".join(capsys.readouterr().out.split())
+
+    def test_help_bounds_the_error_of_vel_norm_sq(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["geodesic", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "absolute error of its vel_norm_sq" in text
+        assert "scales with its largest term (|2 du dv|, |H x^2 du^2|, dx^2)" in text
 
     def test_requires_exactly_one_mode(self, capsys):
         for modes in ((), ("--init", "1,0,0,1,0,0", "--family", "timelike")):
@@ -475,7 +548,30 @@ hostile_argv = st.one_of(
         st.lists(st.sampled_from(FAMILY_NAMES), max_size=3).map(",".join),
         st.text(max_size=12),
     ).map(lambda f: ["geodesic", "--class", "CahenWallachHyperbolic", "--family", f, "--count", "1"]),
+    # sample counts, empty and negative among them
+    st.tuples(
+        st.sampled_from(FIXED_CHARTS),
+        st.lists(st.integers(-2, 4), min_size=3, max_size=3),
+        st.lists(st.tuples(hostile_number, hostile_number), min_size=3, max_size=3),
+    ).map(
+        lambda t: [
+            "curvature", *t[0], "--grid",
+            ",".join(map(str, t[1])) + ":" + ",".join(f"{lo}..{hi}" for lo, hi in t[2]),
+        ]
+    ),
+    st.tuples(hostile_number, hostile_number, st.integers(-2, 4), st.booleans()).map(
+        lambda t: ["survey", "--b-grid", f"{t[0]}..{t[1]}:{t[2]}"] + (["--json"] if t[3] else [])
+    ),
+    st.tuples(st.sampled_from(["-1", "1/3", "2"]), st.integers(-2, 3)).map(
+        lambda t: ["transform", "--alpha", t[0], "--verify-grid", str(t[1])]
+    ),
 )
+
+
+def _data_rows(argv, text):
+    if "--json" in argv:
+        return json.loads(text)["entries"]
+    return list(csv.reader(io.StringIO(text)))[1:]
 
 
 class TestErrorContract:
@@ -491,6 +587,8 @@ class TestErrorContract:
         assert code in (0, 1, 2), argv
         if code == 1:
             schema_validator("error", json.loads(out.getvalue()))
+        if code == 0 and ("--grid" in argv or argv[0] == "survey"):
+            assert _data_rows(argv, out.getvalue()), argv
 
 
 class TestOneParserPerProcess:
