@@ -44,6 +44,7 @@ from .geometry import (
     boost_field,
     brinkmann_profile_derivative,
     brinkmann_profile_value,
+    check_domain,
     coordinate_field,
     curvature_report,
     covariant_R_derivative,
@@ -54,6 +55,7 @@ from .geometry import (
     riemann_tensor,
     rosen_to_brinkmann,
     roundtrip_residual,
+    sup_norm,
 )
 from .lie_core import Derivation, _as_matrix, as_rational, invariant_b, is_derivation
 from .verify import run_suite, suite_names
@@ -289,17 +291,19 @@ def _cmd_curvature(args, parser) -> int:
         _emit_json(curvature_report(chart, point), args.out)
         return 0
     grid = _parse_grid(args.grid)
-    dv = coordinate_field("v")
-    extra = heis_killing_fields(chart)[2] if isinstance(chart, RosenChart) else boost_field()
-    rows = []
-    for p in grid:
+    for p in grid:  # in grid order, so the first bad point names the error
+        check_domain(chart, p)
         _check_profile_finite(chart, p[0])
-        max_r = float(np.max(np.abs(riemann_tensor(chart, p))))
+    points = np.array(grid)
+    extra = heis_killing_fields(chart)[2] if isinstance(chart, RosenChart) else boost_field()
+    columns = (
+        sup_norm(riemann_tensor(chart, points), 4),
         # del_v R = del_x R = 0 on every plane wave: u is the only direction
-        max_nabla = covariant_R_derivative(chart, p, "u")
-        k0 = killing_residual(chart, dv, [p])
-        k1 = killing_residual(chart, extra, [p])
-        rows.append([p[0], p[1], p[2], max_r, max_nabla, k0, k1])
+        covariant_R_derivative(chart, points, "u"),
+        killing_residual(chart, coordinate_field("v"), points),
+        killing_residual(chart, extra, points),
+    )
+    rows = [[*p, *values] for p, *values in zip(grid, *(c.tolist() for c in columns))]
     _emit_csv(
         ["u", "v", "x", "max_abs_R", "max_nabla_R", "killing_residual_dv", "killing_residual_extra"],
         rows,
@@ -326,7 +330,10 @@ def _cmd_geodesic(args, parser) -> int:
         )
         return 0
     families = tuple(args.family.split(","))
-    report = geo.completeness_report(chart, families=families, count=args.count, seed=args.seed)
+    count = _sample_count(args.count, "--count")
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: a seed is a non-negative integer")
+    report = geo.completeness_report(chart, families=families, count=count, seed=args.seed)
     _emit_json(report.to_json(), args.out)
     return 0
 

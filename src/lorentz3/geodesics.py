@@ -39,7 +39,6 @@ from scipy.integrate import solve_ivp
 
 from .geometry.charts import Constant, PowerLaw, check_domain, metric_at
 
-NULL_BAND = 1e-12
 DEFAULT_U_MIN = 1e-8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -81,21 +80,20 @@ def velocity_norm_sq(chart: PowerLaw | Constant, state: GeodesicState) -> float:
     return float(vel @ g @ vel)
 
 
-def causal_type(chart: PowerLaw | Constant, state: GeodesicState) -> str:
-    q = velocity_norm_sq(chart, state)
-    if q < -NULL_BAND:
-        return "timelike"
-    if q > NULL_BAND:
-        return "spacelike"
-    return "null"
-
-
 def geodesic_rhs(chart: PowerLaw | Constant, y: np.ndarray) -> np.ndarray:
     """Right-hand side of the first-order system (u, v, x, du, dv, dx) on a
-    Brinkmann chart."""
-    u, _, x, du, dv, dx = y
-    h = chart.h(u)
-    acc_v = -0.5 * chart.dh(u) * x * x * du * du - 2.0 * h * x * du * dx
+    Brinkmann chart, in Python float arithmetic.
+
+    Where Python raises on the profile (u = 0, or u**3 out of float range)
+    the profile is taken in numpy's scalar arithmetic instead, which gives
+    inf, nan or 0.0 there, so the solver sees what it would see in numpy.
+    """
+    u, _, x, du, dv, dx = y.tolist()
+    try:
+        h, dh = chart.h(u), chart.dh(u)
+    except (ZeroDivisionError, OverflowError):
+        h, dh = chart.h(np.float64(u)), chart.dh(np.float64(u))
+    acc_v = -0.5 * dh * x * x * du * du - 2.0 * h * x * du * dx
     acc_x = h * x * du * du
     return np.array([du, dv, dx, 0.0, acc_v, acc_x])
 

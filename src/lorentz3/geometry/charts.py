@@ -9,6 +9,16 @@ Coordinate order is fixed as (u, v, x) everywhere.  Two chart families:
 * Rosen form  g = 2 du dv + delta(u) dx^2 on u > 0 with the power law
   delta(u) = u^(2 alpha) (:class:`RosenChart`), the chart of the homogeneous
   plane wave with b = alpha^2 - alpha.
+
+Every closed form here and in :mod:`~lorentz3.geometry.curvature` and
+:mod:`~lorentz3.geometry.killing` takes either one point (u, v, x), giving
+one tensor, or a stack of N points, an (N, 3) array, giving the N tensors
+stacked along a new first axis; the single point is the N = 1 case of the
+same code (:func:`tensor_at`).  Profile values (h, dh, delta, ddelta,
+d2delta, F and the Brinkmann profile of a Rosen chart) are evaluated per
+point on Python floats, never on arrays: numpy's array ``u**3`` can differ
+from the scalar ``u**3`` in the last bit, so only scalar arithmetic makes a
+stacked result equal, bit for bit, to the single-point results.
 """
 
 from __future__ import annotations
@@ -37,9 +47,7 @@ class PowerLaw:
     def dh(self, u: float) -> float:
         return -2.0 * self.b / u**3
 
-    @property
-    def half_space(self) -> bool:
-        return True
+    half_space = True
 
     def __str__(self) -> str:
         return f"PowerLaw(b={self.b})"
@@ -57,9 +65,7 @@ class Constant:
     def dh(self, u: float) -> float:
         return 0.0
 
-    @property
-    def half_space(self) -> bool:
-        return False
+    half_space = False
 
     def __str__(self) -> str:
         return f"Constant(h={self.h_value})"
@@ -77,9 +83,7 @@ class RosenChart:
 
     alpha: float
 
-    @property
-    def half_space(self) -> bool:
-        return True
+    half_space = True
 
     @property
     def label(self) -> str:
@@ -108,25 +112,67 @@ class RosenChart:
 
 Chart = PowerLaw | Constant | RosenChart
 
-
-def check_domain(chart: Chart, point) -> None:
-    u = point[U]
-    if chart.half_space and not u > 0.0:
-        raise DomainError(f"u = {u} outside the half-space domain u > 0")
+_NUMBER = (float, int, np.number)
 
 
-def metric_at(chart: Chart, point) -> np.ndarray:
-    """Metric components g_ij at a point, coordinate order (u, v, x)."""
-    check_domain(chart, point)
-    u, _, x = point
-    g = np.zeros((3, 3))
-    g[U, V] = g[V, U] = 1.0
+def check_domain(chart: Chart, points) -> None:
+    """Raise DomainError at the first point outside the chart's domain; like
+    the closed forms, it takes one point or a stack of them."""
+    if chart.half_space:
+        for row in (points,) if isinstance(points[0], _NUMBER) else points:
+            if not row[U] > 0.0:
+                raise DomainError(f"u = {row[U]} outside the half-space domain u > 0")
+
+
+def tensor_at(chart: Chart | None, points, base: np.ndarray, entries: tuple) -> np.ndarray:
+    """A closed form: ``base``, the part no profile value enters, with each
+    entry (index, f) written in, f(chart, u, v, x) landing at ``index``.
+
+    ``points`` is one point, a sequence of three numbers, which gives one
+    tensor of base's shape; or a stack of N points, an (N, 3) array or a
+    sequence of points, which gives N tensors stacked along a new first
+    axis.  f runs once per point on Python floats (on a single point's own
+    entries), so every profile value comes from scalar arithmetic, bit for
+    bit the single-point value: numpy's array ``pow`` can differ from the
+    scalar one in the last bit.  Given a chart, the points are checked
+    against its domain first.
+    """
+    if isinstance(points[0], _NUMBER):
+        if chart is not None and chart.half_space and not points[U] > 0.0:
+            check_domain(chart, points)  # raises
+        t = base.copy()
+        for index, f in entries:
+            t[index] = f(chart, *points)
+        return t
+    rows = np.asarray(points, dtype=float).tolist()
+    if chart is not None:
+        check_domain(chart, rows)
+    t = np.repeat(base[np.newaxis], len(rows), axis=0)
+    for index, f in entries:
+        t[(slice(None), *index)] = [f(chart, *row) for row in rows]
+    return t
+
+
+def sup_norm(t: np.ndarray, rank: int):
+    """max |t| over one tensor of the given rank (a float), or over each
+    tensor of a stack (an (N,) array)."""
+    if t.ndim == rank:
+        return float(np.max(np.abs(t)))
+    return np.abs(t).reshape(len(t), -1).max(axis=1)
+
+
+_BRINKMANN_G = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_BRINKMANN_G_ENTRIES = (((U, U), lambda chart, u, v, x: chart.h(u) * x * x),)
+_ROSEN_G = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_ROSEN_G_ENTRIES = (((Xc, Xc), lambda chart, u, v, x: chart.delta(u)),)
+
+
+def metric_at(chart: Chart, points) -> np.ndarray:
+    """Metric components g_ij, coordinate order (u, v, x): a (3, 3) array
+    at one point, (N, 3, 3) at a stack of N points."""
     if isinstance(chart, RosenChart):
-        g[Xc, Xc] = chart.delta(u)
-    else:
-        g[Xc, Xc] = 1.0
-        g[U, U] = chart.h(u) * x * x
-    return g
+        return tensor_at(chart, points, _ROSEN_G, _ROSEN_G_ENTRIES)
+    return tensor_at(chart, points, _BRINKMANN_G, _BRINKMANN_G_ENTRIES)
 
 
 def inverse_metric_at(chart: Chart, point) -> np.ndarray:
@@ -142,14 +188,17 @@ def inverse_metric_at(chart: Chart, point) -> np.ndarray:
     return ginv
 
 
-def metric_partials(chart: Chart, point) -> np.ndarray:
-    """Closed-form partials dg[m, i, j] = d g_ij / d x^m."""
-    check_domain(chart, point)
-    u, _, x = point
-    dg = np.zeros((3, 3, 3))
+_ZERO_DG = np.zeros((3, 3, 3))
+_BRINKMANN_DG_ENTRIES = (
+    ((U, U, U), lambda chart, u, v, x: chart.dh(u) * x * x),
+    ((Xc, U, U), lambda chart, u, v, x: 2.0 * chart.h(u) * x),
+)
+_ROSEN_DG_ENTRIES = (((U, Xc, Xc), lambda chart, u, v, x: chart.ddelta(u)),)
+
+
+def metric_partials(chart: Chart, points) -> np.ndarray:
+    """Closed-form partials dg[m, i, j] = d g_ij / d x^m: (3, 3, 3) at one
+    point, (N, 3, 3, 3) at a stack."""
     if isinstance(chart, RosenChart):
-        dg[U, Xc, Xc] = chart.ddelta(u)
-    else:
-        dg[U, U, U] = chart.dh(u) * x * x
-        dg[Xc, U, U] = 2.0 * chart.h(u) * x
-    return dg
+        return tensor_at(chart, points, _ZERO_DG, _ROSEN_DG_ENTRIES)
+    return tensor_at(chart, points, _ZERO_DG, _BRINKMANN_DG_ENTRIES)

@@ -11,6 +11,11 @@ oracle in :mod:`lorentz3.geometry.findiff`:
 With these choices the Brinkmann chart g = 2 du dv + H(u) x^2 du^2 + dx^2
 has R_uxux = +H(u) and Ric_uu = -H(u); the scalar curvature vanishes for
 every chart here (the Ricci tensor is null).
+
+``riemann_tensor``, ``nabla_riemann`` and ``covariant_R_derivative`` take
+one point or an (N, 3) stack of points, with each profile value taken per
+point in scalar arithmetic (see :mod:`lorentz3.geometry.charts`); the
+connection, Ricci and sectional forms take one point.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .charts import (
     check_domain,
     inverse_metric_at,
     metric_at,
+    sup_norm,
+    tensor_at,
 )
 
 _DIRECTION_NAMES = {"u": U, "v": V, "x": Xc}
@@ -73,24 +80,26 @@ def brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
     return -2.0 * (a * a - a) / u**3
 
 
-def _uxux_tensor(value: float) -> np.ndarray:
-    r = np.zeros((3, 3, 3, 3))
-    r[U, Xc, U, Xc] = value
-    r[U, Xc, Xc, U] = -value
-    r[Xc, U, U, Xc] = -value
-    r[Xc, U, Xc, U] = value
+_ZERO_R = np.zeros((3, 3, 3, 3))
+# R_uxux, then (del_u R)_uxux
+_BRINKMANN_R = (((U, Xc, U, Xc), lambda chart, u, v, x: chart.h(u)),)
+_ROSEN_R = (((U, Xc, U, Xc), lambda chart, u, v, x: chart.delta(u) * brinkmann_profile_value(chart, u)),)
+_BRINKMANN_DR = (((U, Xc, U, Xc), lambda chart, u, v, x: chart.dh(u)),)
+_ROSEN_DR = (((U, Xc, U, Xc), lambda chart, u, v, x: chart.delta(u) * brinkmann_profile_derivative(chart, u)),)
+
+
+def _uxux_tensor(chart: Chart, points, entries: tuple) -> np.ndarray:
+    """The (u,x,u,x) orbit of the uxux component, by the Riemann symmetries."""
+    r = tensor_at(chart, points, _ZERO_R, entries)
+    r[..., Xc, U, Xc, U] = r[..., U, Xc, U, Xc]
+    r[..., U, Xc, Xc, U] = r[..., Xc, U, U, Xc] = -r[..., U, Xc, U, Xc]
     return r
 
 
-def riemann_tensor(chart: Chart, point) -> np.ndarray:
-    """Full R_ijkl; the only nonzero components sit on the (u,x,u,x) orbit."""
-    check_domain(chart, point)
-    u = point[U]
-    if isinstance(chart, RosenChart):
-        value = chart.delta(u) * brinkmann_profile_value(chart, u)
-    else:
-        value = chart.h(u)
-    return _uxux_tensor(value)
+def riemann_tensor(chart: Chart, points) -> np.ndarray:
+    """Full R_ijkl, (3, 3, 3, 3) at one point and (N, 3, 3, 3, 3) at a
+    stack; the only nonzero components sit on the (u,x,u,x) orbit."""
+    return _uxux_tensor(chart, points, _ROSEN_R if isinstance(chart, RosenChart) else _BRINKMANN_R)
 
 
 def ricci(chart: Chart, point) -> np.ndarray:
@@ -104,30 +113,25 @@ def scalar_curvature(chart: Chart, point) -> float:
     return float(np.einsum("ij,ij->", ginv, ricci(chart, point)))
 
 
-def nabla_riemann(chart: Chart, point, direction) -> np.ndarray:
+def nabla_riemann(chart: Chart, points, direction) -> np.ndarray:
     """(del_m R)_ijkl for a coordinate direction, by name ("u", "v", "x")
-    or by index.
+    or by index, at one point or stacked over N points.
 
     Exactly zero along v and x (the plane-wave property); along u the
     nonzero components are the (u,x,u,x) orbit of H'(u) on Brinkmann charts
     and delta(u) H'(u) on Rosen charts.
     """
-    check_domain(chart, point)
     if isinstance(direction, str):
         direction = _DIRECTION_NAMES[direction]
     if direction != U:
-        return np.zeros((3, 3, 3, 3))
-    u = point[U]
-    if isinstance(chart, RosenChart):
-        du_value = chart.delta(u) * brinkmann_profile_derivative(chart, u)
-    else:
-        du_value = chart.dh(u)
-    return _uxux_tensor(du_value)
+        return tensor_at(chart, points, _ZERO_R, ())
+    return _uxux_tensor(chart, points, _ROSEN_DR if isinstance(chart, RosenChart) else _BRINKMANN_DR)
 
 
-def covariant_R_derivative(chart: Chart, point, direction) -> float:
-    """Sup-norm of the covariant derivative of R along the direction."""
-    return float(np.max(np.abs(nabla_riemann(chart, point, direction))))
+def covariant_R_derivative(chart: Chart, points, direction):
+    """Sup-norm of the covariant derivative of R along the direction: a
+    float at one point, an (N,) array over a stack."""
+    return sup_norm(nabla_riemann(chart, points, direction), 4)
 
 
 def riemann_symmetry_residual(r: np.ndarray) -> float:
@@ -154,7 +158,7 @@ def default_grid(
 
 
 def max_abs_riemann(chart: Chart, grid: Iterable) -> float:
-    return max(float(np.max(np.abs(riemann_tensor(chart, p)))) for p in grid)
+    return float(np.max(sup_norm(riemann_tensor(chart, grid), 4)))
 
 
 def is_flat(chart: Chart) -> bool:

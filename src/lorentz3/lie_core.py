@@ -311,15 +311,6 @@ class ExtensionAlgebra:
                     out[k] += coef * self.constants[i][j][k]
         return tuple(out)
 
-    def with_constant(self, i: int, j: int, k: int, value) -> "ExtensionAlgebra":
-        """Copy with c[i][j][k] = value and c[j][i][k] = -value (for tests)."""
-        v, _ = as_rational(value)
-        table = [[[e for e in vec] for vec in row] for row in self.constants]
-        table[i][j][k] = v
-        table[j][i][k] = -v
-        frozen = tuple(tuple(tuple(vec) for vec in row) for row in table)
-        return ExtensionAlgebra(frozen)
-
 
 def extend_algebra(a: Derivation) -> ExtensionAlgebra:
     """Adjoin T with [T, W] = A(W); Heisenberg sub-block is fixed."""
@@ -336,12 +327,6 @@ def extend_algebra(a: Derivation) -> ExtensionAlgebra:
             table[w][T][k] = -img[k]
     frozen = tuple(tuple(tuple(vec) for vec in row) for row in table)
     return ExtensionAlgebra(frozen)
-
-
-def direct_sum_abelian() -> ExtensionAlgebra:
-    """The abelian R^4 constants (all brackets zero)."""
-    zero4 = (Fraction(0),) * 4
-    return ExtensionAlgebra(tuple(tuple(zero4 for _ in range(4)) for _ in range(4)))
 
 
 def jacobi_residual(alg: ExtensionAlgebra) -> Fraction:

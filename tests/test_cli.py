@@ -102,7 +102,6 @@ class TestClassify:
             (("classify", "--b", "inf"), "OverflowError"),
             (("classify", "--alpha", "inf"), "OverflowError"),
             (("survey", "--b-grid", "inf"), "OverflowError"),
-            (("geodesic", "--b", "2", "--family", "timelike", "--count", "0"), "ValueError"),
             # u*u underflows to 0; u**3 underflows and H'(u) is inf
             (("curvature", "--b", "2", "--point", "1e-200,0,0"), "ProfileNotFinite"),
             (("curvature", "--b", "2", "--point", "1e-105,0,1"), "ProfileNotFinite"),
@@ -164,8 +163,16 @@ class TestClassify:
             ("survey", "--json", "--b-grid", "1..2:0"): "--b-grid",
             ("transform", "--alpha", "-1", "--verify-grid", "0"): "--verify-grid",
             ("transform", "--alpha", "-1", "--verify-grid", "-1"): "--verify-grid",
+            ("geodesic", "--b", "2", "--family", "timelike", "--count", "0"): "--count",
+            ("geodesic", "--class", "CahenWallachElliptic", "--family", "null", "--count", "-2"): "--count",
         }
         cases += [(argv, "ValueError") for argv in empty_samples]
+        # a negative seed is refused by name, not with numpy's message
+        bad_seeds = {
+            ("geodesic", "--b", "2", "--family", "timelike", "--count", "1", "--seed", "-1"): "--seed -1",
+            ("geodesic", "--b", "-1/2", "--family", "null,dv_orbit", "--seed", "-12345"): "--seed -12345",
+        }
+        cases += [(argv, "ValueError") for argv in bad_seeds]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -184,6 +191,10 @@ class TestClassify:
                 message = payload["error"]["message"]
                 assert message.startswith(f"{empty_samples[argv]} count = "), argv
                 assert message.endswith("a sample needs at least one point"), argv
+            if argv in bad_seeds:
+                message = payload["error"]["message"]
+                assert message.startswith(f"{bad_seeds[argv]}: "), argv
+                assert "non-negative" in message, argv
             if error_type == "ProfileNotFinite":
                 assert "far enough from 0" in payload["error"]["precondition"], argv
             if error_type == "OutputNotWritable":
@@ -256,6 +267,20 @@ class TestCurvature:
                 assert k_extra <= 1e-9, row
             else:
                 assert k_extra == 2 * h * x * x, row
+
+    @pytest.mark.parametrize(
+        "source", [("--b", "2"), ("--alpha", "1/2"), ("--class", "CahenWallachHyperbolic")], ids=" ".join
+    )
+    def test_one_point_sweep_is_the_point_report(self, capsys, source):
+        code, out = run_cli(capsys, "curvature", *source, "--grid", "1,1,1:1.3..7,-0.25..9,0.75..9")
+        assert code == 0
+        header, row = list(csv.reader(io.StringIO(out)))
+        assert header[:3] == ["u", "v", "x"] and row[:3] == ["1.3", "-0.25", "0.75"]
+        code, out = run_cli(capsys, "curvature", *source, "--point", "1.3,-0.25,0.75")
+        report = json.loads(out)
+        assert float(row[3]) == report["max_abs_riemann"]
+        assert float(row[4]) == report["nabla_R_norms"]["u"]
+        assert float(row[5]) == 0.0
 
     def test_grid_help_names_every_column(self, capsys):
         with pytest.raises(SystemExit):
@@ -565,6 +590,13 @@ hostile_argv = st.one_of(
     st.tuples(st.sampled_from(["-1", "1/3", "2"]), st.integers(-2, 3)).map(
         lambda t: ["transform", "--alpha", t[0], "--verify-grid", str(t[1])]
     ),
+    # family sample counts and seeds, negative among them
+    st.tuples(st.sampled_from(GEODESIC_CHARTS), st.integers(-2, 2), st.integers(-3, 3)).map(
+        lambda t: ["geodesic", *t[0], "--family", "dv_orbit", "--count", str(t[1]), "--seed", str(t[2])]
+    ),
+    st.tuples(st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**70))).map(
+        lambda t: ["geodesic", "--b", "2", "--family", "null", "--count", "1", "--seed", str(t[0])]
+    ),
 )
 
 
@@ -589,6 +621,13 @@ class TestErrorContract:
             schema_validator("error", json.loads(out.getvalue()))
         if code == 0 and ("--grid" in argv or argv[0] == "survey"):
             assert _data_rows(argv, out.getvalue()), argv
+        if code == 1 and "--seed" in argv:  # a refused count or seed names its flag
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            message = json.loads(out.getvalue())["error"]["message"]
+            if int(opts["--count"]) < 1:
+                assert message.startswith("--count count = "), argv
+            elif int(opts["--seed"]) < 0:
+                assert message.startswith(f"--seed {opts['--seed']}: "), argv
 
 
 class TestOneParserPerProcess:

@@ -8,20 +8,31 @@ from hypothesis import strategies as st
 from lorentz3 import geodesics as geo
 from lorentz3.geometry import Constant, DomainError, PowerLaw
 
+NULL_BAND = 1e-12
+
+
+def causal_type(chart, state) -> str:
+    q = geo.velocity_norm_sq(chart, state)
+    if q < -NULL_BAND:
+        return "timelike"
+    if q > NULL_BAND:
+        return "spacelike"
+    return "null"
+
 
 class TestCausalType:
     def test_parallel_field_orbit_is_null(self):
         st_ = geo.GeodesicState.of(1, 0, 0, 0, 1, 0)
-        assert geo.causal_type(PowerLaw(2.0), st_) == "null"
+        assert causal_type(PowerLaw(2.0), st_) == "null"
 
     def test_mixed_uv_is_timelike_on_symmetry_plane(self):
         st_ = geo.GeodesicState.of(1, 0, 0, 1, -1, 0)
         for chart in (PowerLaw(2.0), Constant(1.0), Constant(0.0)):
-            assert geo.causal_type(chart, st_) == "timelike"
+            assert causal_type(chart, st_) == "timelike"
 
     def test_transverse_is_spacelike(self):
         st_ = geo.GeodesicState.of(1, 0, 0, 0, 0, 1)
-        assert geo.causal_type(Constant(0.0), st_) == "spacelike"
+        assert causal_type(Constant(0.0), st_) == "spacelike"
 
 
 class TestRhs:
@@ -36,6 +47,27 @@ class TestRhs:
     def test_transverse_acceleration(self):
         rhs = geo.geodesic_rhs(PowerLaw(2.0), np.array([1, 0, 1, 1, 0, 0.0]))
         assert rhs[5] == pytest.approx(2.0)  # x'' = H(u) x u'^2
+
+    @staticmethod
+    def rhs_in_numpy_scalars(chart, y):
+        u, _, x, du, dv, dx = (np.float64(c) for c in y)
+        h = chart.h(u)
+        acc_v = -0.5 * chart.dh(u) * x * x * du * du - 2.0 * h * x * du * dx
+        return np.array([du, dv, dx, 0.0, acc_v, h * x * du * du])
+
+    def test_profile_poles_give_what_numpy_gives(self):
+        # Python raises where b/u^2 divides by zero and where u**3 leaves
+        # float range; numpy gives inf, nan or 0.0, and so must the RHS
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for chart in (PowerLaw(2.0), PowerLaw(-0.5), PowerLaw(0.0), Constant(1.0)):
+                for u in (0.0, -0.0, 1e-120, 1e200, -1e200, 0.7):
+                    y = np.array([u, 0.3, 0.7, -1.2, 0.4, 0.9])
+                    rhs = geo.geodesic_rhs(chart, y)
+                    expected = self.rhs_in_numpy_scalars(chart, y)
+                    assert np.array_equal(rhs, expected, equal_nan=True), (chart, u)
+                    assert np.array_equal(np.signbit(rhs), np.signbit(expected)), (chart, u)
+            at_zero = geo.geodesic_rhs(PowerLaw(2.0), np.array([0.0, 0.3, 0.7, -1.2, 0.4, 0.9]))
+        assert not np.isfinite(at_zero[3:]).all()
 
 
 class TestIntegration:
@@ -198,7 +230,7 @@ class TestSampling:
         chart = PowerLaw(2.0)
         rng = np.random.default_rng(seed)
         for st_ in geo.sample_initial_conditions(chart, family, 4, rng):
-            assert geo.causal_type(chart, st_) == family
+            assert causal_type(chart, st_) == family
 
     def test_dv_orbits_are_null(self):
         chart = Constant(-1.0)

@@ -15,24 +15,50 @@ from lorentz3.geometry import (
     killing_residual,
     metric_at,
     pullback_residual,
-    rosen_shear_flow,
     rosen_to_brinkmann,
     roundtrip_residual,
 )
+from lorentz3.geometry import VectorField
+from lorentz3.geometry.charts import U, V, Xc
 from lorentz3.geometry.curvature import default_grid
-from lorentz3.geometry.killing import scaling_field
 
 GRID = default_grid(shape=(4, 3, 4))
+
+
+def scaling_field(alpha: float) -> VectorField:
+    """-u d_u + v d_v + alpha x d_x, at one point: the extra isometry of a
+    Rosen power law."""
+
+    def value(p, a=float(alpha)):
+        u, v, x = p
+        return np.array([-u, v, a * x])
+
+    def jacobian(p, a=float(alpha)):
+        j = np.zeros((3, 3))
+        j[U, U] = -1.0
+        j[V, V] = 1.0
+        j[Xc, Xc] = a
+        return j
+
+    return VectorField(value=value, jacobian=jacobian, name="rosen-scaling")
+
+
+def rosen_shear_flow(chart: RosenChart, t: float, point) -> tuple[float, float, float]:
+    """Time-t map of the one-parameter group generated by the shear field:
+    (u, v, x) -> (u, v + t x - t^2/2 F(u), x - t F(u))."""
+    u, v, x = point
+    f = chart.F(u)
+    return (u, v + t * x - 0.5 * t * t * f, x - t * f)
 
 
 class TestKillingResiduals:
     def test_dv_is_killing_on_every_chart(self):
         for chart in (PowerLaw(2.0), Constant(-1.0), RosenChart(2.0)):
-            assert killing_residual(chart, coordinate_field("v"), GRID) == 0.0
+            assert max(killing_residual(chart, coordinate_field("v"), GRID)) == 0.0
 
     def test_boost_on_brinkmann(self):
         for b in (2.0, -0.5):
-            assert killing_residual(PowerLaw(b), boost_field(), GRID) <= 1e-9
+            assert max(killing_residual(PowerLaw(b), boost_field(), GRID)) <= 1e-9
 
     def test_dx_fails_on_curved_brinkmann(self):
         # (L_dx g)_uu = 2 H x = 4 x / u^2 for b = 2
@@ -41,12 +67,12 @@ class TestKillingResiduals:
 
     def test_extra_translations_on_constant_charts(self):
         # on H = const charts, d_x is not Killing unless h = 0
-        assert killing_residual(Constant(0.0), coordinate_field("x"), GRID) == 0.0
+        assert max(killing_residual(Constant(0.0), coordinate_field("x"), GRID)) == 0.0
         assert killing_residual(Constant(1.0), coordinate_field("x"), [(0.3, 0.0, 0.5)]) == pytest.approx(1.0)
 
     def test_rosen_scaling_isometry(self):
         chart = RosenChart(-1.0)
-        assert killing_residual(chart, scaling_field(-1.0), GRID) <= 1e-9
+        assert max(killing_residual(chart, scaling_field(-1.0), p) for p in GRID) <= 1e-9
 
 
 class TestHeisenbergFields:
@@ -71,7 +97,7 @@ class TestHeisenbergFields:
     def test_all_three_are_killing(self, alpha):
         chart = RosenChart(alpha)
         for field in heis_killing_fields(chart):
-            assert killing_residual(chart, field, GRID) <= 1e-9
+            assert max(killing_residual(chart, field, GRID)) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
     def test_bracket_relations(self, alpha):
