@@ -51,6 +51,8 @@ from .geometry import (
     default_grid,
     heis_killing_fields,
     killing_residual,
+    metric_at,
+    metric_partials,
     pullback_residual,
     riemann_tensor,
     rosen_to_brinkmann,
@@ -75,7 +77,10 @@ _PRECONDITIONS = {
     "UnimodularInput": "tr(A-bar) != 0",
     "HomothetyInput": "the quotient action is not a homothety",
     "DegeneratePlane": "the tangent plane is non-degenerate",
-    "ProfileNotFinite": "u is far enough from 0 that the profile H(u) and its derivative are finite floats",
+    "ProfileNotFinite": (
+        "u is far enough from 0, and small enough, that the profile H(u) and its derivative are finite floats"
+    ),
+    "MetricNotFinite": "the metric g_ij and its partials d_k g_ij are finite floats at the point",
     "TransversePhaseTooLarge": (
         "the transverse phase of each integration is within the work bound: sqrt|h| |du| |span| "
         "on Constant charts, (sqrt|1+4b|/2) ln(u_max/u_min) on PowerLaw charts"
@@ -170,15 +175,26 @@ def _parse_derivation(text: str) -> tuple[Derivation, bool]:
 
 
 class ProfileNotFinite(ValueError):
-    """u is so close to 0 that the profile of a half-space chart is not a
-    finite float: H(u) = b/u^2 or H'(u) on PowerLaw (u*u underflows below
-    about 1e-162, u**3 below about 1e-108), delta(u), H(u) or H'(u) on a
-    Rosen chart."""
+    """The profile of a half-space chart is not a finite float at u: H(u) =
+    b/u^2 or H'(u) on PowerLaw, delta(u), H(u) or H'(u) on a Rosen chart.
+    It leaves the float range on either side: near 0, u*u underflows below
+    about 1e-162 and u**3 below about 1e-108; for large u, u**3 overflows
+    above about 5.6e102, and u^(2 alpha) once |2 alpha log10 u| passes 308."""
 
 
-def _check_profile_finite(chart, u: float) -> None:
-    if not (chart.half_space and u > 0.0):  # u <= 0 is a DomainError
-        return
+class MetricNotFinite(ValueError):
+    """The profile is finite at the point but the metric or one of its first
+    partials is not: on a Brinkmann chart H(u) x^2, H'(u) x^2 or 2 H(u) x
+    overflows for large |x|.  The Killing residuals and the Ricci form
+    would then read inf * 0 = NaN."""
+
+
+def _profile_check(chart):
+    """u -> None, raising ProfileNotFinite where the chart's profile is not
+    a finite float; u <= 0 is left to the domain check.  The profile terms
+    are built once per chart, not once per point."""
+    if not chart.half_space:
+        return lambda u: None
     if isinstance(chart, RosenChart):
         what = f"delta(u) = {chart.label}, H(u) and H'(u)"
         terms = (
@@ -189,12 +205,28 @@ def _check_profile_finite(chart, u: float) -> None:
     else:
         what = f"H(u) = {chart.b}/u^2 and H'(u)"
         terms = (chart.h, chart.dh)
-    try:
-        finite = all(math.isfinite(term(u)) for term in terms)
-    except (ZeroDivisionError, OverflowError):
-        finite = False
-    if not finite:
-        raise ProfileNotFinite(f"u = {u} is too close to 0 for {what} to be finite floats")
+
+    def check(u: float) -> None:
+        if not u > 0.0:  # a DomainError
+            return
+        try:
+            finite = all(math.isfinite(term(u)) for term in terms)
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise ProfileNotFinite(f"{what} leave the float range at u = {u}")
+
+    return check
+
+
+def _check_metric_finite(chart, points: list) -> None:
+    """Raise MetricNotFinite at the first point, in order, where g_ij or
+    d_k g_ij is not a finite float; the profile is finite at every point."""
+    finite = np.isfinite(metric_at(chart, points)).all(axis=(1, 2))
+    finite &= np.isfinite(metric_partials(chart, points)).all(axis=(1, 2, 3))
+    if not finite.all():
+        p = points[int(np.argmin(finite))]
+        raise MetricNotFinite(f"the metric or its partials leave the float range at (u, v, x) = {tuple(p)}")
 
 
 def _parse_number(text: str) -> float:
@@ -287,13 +319,16 @@ def _cmd_curvature(args, parser) -> int:
     chart = _resolve_chart(args)
     if args.point is not None:
         point = _parse_point(args.point)
-        _check_profile_finite(chart, point[0])
+        _profile_check(chart)(point[0])
+        _check_metric_finite(chart, [point])
         _emit_json(curvature_report(chart, point), args.out)
         return 0
     grid = _parse_grid(args.grid)
+    check_profile = _profile_check(chart)
     for p in grid:  # in grid order, so the first bad point names the error
         check_domain(chart, p)
-        _check_profile_finite(chart, p[0])
+        check_profile(p[0])
+    _check_metric_finite(chart, grid)
     points = np.array(grid)
     extra = heis_killing_fields(chart)[2] if isinstance(chart, RosenChart) else boost_field()
     columns = (
@@ -320,7 +355,7 @@ def _cmd_geodesic(args, parser) -> int:
         parts = [_parse_number(p) for p in args.init.split(",")]
         if len(parts) != 6:
             parser.error("--init expects u,v,x,du,dv,dx")
-        _check_profile_finite(chart, parts[0])
+        _profile_check(chart)(parts[0])
         state = geo.GeodesicState.of(*parts)
         res = geo.integrate_geodesic(chart, state, (0.0, args.span))
         _emit_csv(

@@ -12,10 +12,11 @@ With these choices the Brinkmann chart g = 2 du dv + H(u) x^2 du^2 + dx^2
 has R_uxux = +H(u) and Ric_uu = -H(u); the scalar curvature vanishes for
 every chart here (the Ricci tensor is null).
 
-``riemann_tensor``, ``nabla_riemann`` and ``covariant_R_derivative`` take
-one point or an (N, 3) stack of points, with each profile value taken per
-point in scalar arithmetic (see :mod:`lorentz3.geometry.charts`); the
-connection, Ricci and sectional forms take one point.
+``christoffels``, ``riemann_tensor``, ``nabla_riemann`` and
+``covariant_R_derivative`` take one point or an (N, 3) stack of points,
+with each profile value taken per point in scalar arithmetic (see
+:mod:`lorentz3.geometry.charts`); the Ricci and sectional forms take one
+point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .charts import (
     U,
     V,
     Xc,
-    check_domain,
     inverse_metric_at,
     metric_at,
     sup_norm,
@@ -46,22 +46,25 @@ class DegeneratePlane(ValueError):
     """The requested tangent plane is degenerate for this metric."""
 
 
-def christoffels(chart: Chart, point) -> np.ndarray:
-    """Closed-form Gamma^k_ij; indices gamma[k, i, j]."""
-    check_domain(chart, point)
-    u, _, x = point
-    gamma = np.zeros((3, 3, 3))
-    if isinstance(chart, RosenChart):
-        d = chart.delta(u)
-        dd = chart.ddelta(u)
-        gamma[V, Xc, Xc] = -0.5 * dd
-        gamma[Xc, U, Xc] = gamma[Xc, Xc, U] = 0.5 * dd / d
-    else:
-        h = chart.h(u)
-        gamma[V, U, U] = 0.5 * chart.dh(u) * x * x
-        gamma[V, U, Xc] = gamma[V, Xc, U] = h * x
-        gamma[Xc, U, U] = -h * x
-    return gamma
+_ZERO_GAMMA = np.zeros((3, 3, 3))
+_BRINKMANN_GAMMA = (
+    ((V, U, U), lambda chart, u, v, x: 0.5 * chart.dh(u) * x * x),
+    ((V, U, Xc), lambda chart, u, v, x: chart.h(u) * x),
+    ((V, Xc, U), lambda chart, u, v, x: chart.h(u) * x),
+    ((Xc, U, U), lambda chart, u, v, x: -chart.h(u) * x),
+)
+_ROSEN_GAMMA = (
+    ((V, Xc, Xc), lambda chart, u, v, x: -0.5 * chart.ddelta(u)),
+    ((Xc, U, Xc), lambda chart, u, v, x: 0.5 * chart.ddelta(u) / chart.delta(u)),
+    ((Xc, Xc, U), lambda chart, u, v, x: 0.5 * chart.ddelta(u) / chart.delta(u)),
+)
+
+
+def christoffels(chart: Chart, points) -> np.ndarray:
+    """Closed-form Gamma^k_ij; indices gamma[k, i, j], stacked as
+    gamma[n, k, i, j] over N points."""
+    entries = _ROSEN_GAMMA if isinstance(chart, RosenChart) else _BRINKMANN_GAMMA
+    return tensor_at(chart, points, _ZERO_GAMMA, entries)
 
 
 def brinkmann_profile_value(chart: RosenChart, u: float) -> float:

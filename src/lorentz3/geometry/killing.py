@@ -114,10 +114,9 @@ def killing_residual(chart: Chart, field: VectorField, points):
     """max_ij |(L_xi g)_ij|: a float at one point, an (N,) array over a
     stack; <= 1e-9 certifies a Killing field at the points sampled.
 
-    An entry that is NaN (inf * 0 once g_uu overflows) does not raise the
-    reading: it counts as 0.0, as Python's max(0.0, nan) does."""
-    worst = np.fmax(sup_norm(lie_derivative_of_metric(chart, field, points), 2), 0.0)
-    return float(worst) if worst.ndim == 0 else worst
+    A NaN entry (inf * 0 once g_uu overflows) makes the reading NaN, which
+    certifies nothing."""
+    return sup_norm(lie_derivative_of_metric(chart, field, points), 2)
 
 
 def commutator_values(f1: VectorField, f2: VectorField, point) -> np.ndarray:

@@ -94,11 +94,16 @@ def _as_matrix(rows: Iterable[Iterable]) -> tuple[Matrix3, bool]:
     return tuple(out), rationalized
 
 
+def _dot(row, col) -> Fraction:
+    # automorphisms and canonical forms are mostly zeros, and a Fraction
+    # product costs a gcd even when it is 0: sum the nonzero terms only
+    terms = [x * y for x, y in zip(row, col) if x and y]
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
+
+
 def _mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 def _mat_scale(a: Matrix3, s: Fraction) -> Matrix3:

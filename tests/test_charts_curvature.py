@@ -148,10 +148,25 @@ class TestRiemann:
             assert riemann_symmetry_residual(riemann_tensor(chart, p)) <= 1e-9
 
 
+def _partial_derivative_loops(f, point, axis, step=DEFAULT_STEP):
+    """The oracle's per-point central difference with one Richardson level,
+    calling ``f`` at one point at a time: the reference for the stencil the
+    oracle now evaluates in one call."""
+
+    def central(h):
+        p_plus = np.array(point, dtype=float)
+        p_minus = np.array(point, dtype=float)
+        p_plus[axis] += h
+        p_minus[axis] -= h
+        return (np.asarray(f(tuple(p_plus)), dtype=float) - np.asarray(f(tuple(p_minus)), dtype=float)) / (2.0 * h)
+
+    return (4.0 * central(step / 2.0) - central(step)) / 3.0
+
+
 def _christoffels_fd_loops(metric_fn, point, step=DEFAULT_STEP):
     """The oracle's index loops, kept as the reference for its array form."""
     ginv = np.linalg.inv(np.asarray(metric_fn(point), dtype=float))
-    dg = np.stack([partial_derivative(metric_fn, point, m, step) for m in range(3)])
+    dg = np.stack([_partial_derivative_loops(metric_fn, point, m, step) for m in range(3)])
     gamma = np.zeros((3, 3, 3))
     for k, i, j in np.ndindex(3, 3, 3):
         gamma[k, i, j] = 0.5 * np.dot(ginv[k], dg[i][j, :] + dg[j][i, :] - dg[:, i, j])
@@ -161,7 +176,7 @@ def _christoffels_fd_loops(metric_fn, point, step=DEFAULT_STEP):
 def _riemann_fd_loops(metric_fn, point):
     gamma_fn = lambda q: _christoffels_fd_loops(metric_fn, q, RIEMANN_INNER_STEP)
     gamma = gamma_fn(point)
-    dgamma = np.stack([partial_derivative(gamma_fn, point, m, RIEMANN_OUTER_STEP) for m in range(3)])
+    dgamma = np.stack([_partial_derivative_loops(gamma_fn, point, m, RIEMANN_OUTER_STEP) for m in range(3)])
     upper = np.zeros((3, 3, 3, 3))
     for i, j, k in np.ndindex(3, 3, 3):
         upper[i, j, k] = (
@@ -173,10 +188,40 @@ def _riemann_fd_loops(metric_fn, point):
     return np.einsum("ijkm,ml->ijkl", upper, np.asarray(metric_fn(point), dtype=float))
 
 
+def _nabla_riemann_fd_loops(riemann_fn, gamma_fn, point, direction):
+    r0 = np.asarray(riemann_fn(point), dtype=float)
+    out = np.array(_partial_derivative_loops(riemann_fn, point, direction))
+    gm = np.asarray(gamma_fn(point), dtype=float)[:, direction, :]
+    for a, b, c, d in np.ndindex(3, 3, 3, 3):
+        out[a, b, c, d] -= gm[:, a] @ r0[:, b, c, d]
+        out[a, b, c, d] -= gm[:, b] @ r0[a, :, c, d]
+        out[a, b, c, d] -= gm[:, c] @ r0[a, b, :, d]
+        out[a, b, c, d] -= gm[:, d] @ r0[a, b, c, :]
+    return out
+
+
 class TestOracleArrayForm:
-    # on the charts' metrics every contraction has at most one nonzero
-    # term, so the array form repeats the loops' arithmetic exactly
+    """The oracle evaluates each stencil with one call on a stack of points;
+    on the charts' metrics every contraction has at most one nonzero term,
+    so at every point it repeats, bit for bit, the per-point loops above,
+    which call the metric one point at a time."""
+
     charts = [PowerLaw(2.0), PowerLaw(-0.3), Constant(1.0), Constant(-1.0), RosenChart(-1.0), RosenChart(0.5)]
+
+    @staticmethod
+    def _assert_equal_to_loops(chart, stacked_points, rows):
+        metric_fn = lambda q: metric_at(chart, q)
+        riemann_fn = lambda q: riemann_tensor(chart, q)
+        gamma_fn = lambda q: christoffels(chart, q)
+        gamma = christoffels_fd(metric_fn, stacked_points)
+        r = riemann_fd(metric_fn, stacked_points)
+        nabla = [nabla_riemann_fd(riemann_fn, gamma_fn, stacked_points, axis) for axis in range(3)]
+        assert len(gamma) == len(r) == len(rows)
+        for n, p in enumerate(rows):
+            assert np.array_equal(gamma[n], _christoffels_fd_loops(metric_fn, p))
+            assert np.array_equal(r[n], _riemann_fd_loops(metric_fn, p))
+            for axis in range(3):
+                assert np.array_equal(nabla[axis][n], _nabla_riemann_fd_loops(riemann_fn, gamma_fn, p, axis))
 
     @given(points, st.sampled_from(charts))
     @settings(max_examples=25, deadline=None)
@@ -184,6 +229,36 @@ class TestOracleArrayForm:
         metric_fn = lambda q: metric_at(chart, q)
         assert np.array_equal(christoffels_fd(metric_fn, p), _christoffels_fd_loops(metric_fn, p))
         assert np.array_equal(riemann_fd(metric_fn, p), _riemann_fd_loops(metric_fn, p))
+        self._assert_equal_to_loops(chart, [p], [p])
+
+    @given(st.lists(points, min_size=2, max_size=4), st.sampled_from(charts))
+    @settings(max_examples=25, deadline=None)
+    def test_stack_equals_per_point_reference(self, rows, chart):
+        self._assert_equal_to_loops(chart, np.array(rows), rows)
+
+    def test_one_metric_call_per_stencil(self):
+        calls = []
+
+        def metric_fn(q):
+            calls.append(len(q))
+            return metric_at(PowerLaw(2.0), q)
+
+        riemann_fd(metric_fn, [(1.0, 0.0, 0.0), (1.5, 0.2, -0.3)])
+        assert calls == [26, 26 * 12]  # 13 centres per point, 12 stencil points per centre
+        calls.clear()
+        christoffels_fd(metric_fn, (1.0, 0.0, 0.0))
+        assert calls == [1, 12]
+
+    def test_partial_derivative_shapes(self):
+        f = lambda q: metric_at(PowerLaw(2.0), q)
+        p = (1.0, 0.0, 0.5)
+        assert partial_derivative(f, p, 0).shape == (3, 3)
+        assert partial_derivative(f, [p, p], 0).shape == (2, 3, 3)
+        assert partial_derivative(f, p, (0, 1, 2)).shape == (3, 3, 3)
+        assert partial_derivative(f, [p, p], (2, 0)).shape == (2, 2, 3, 3)
+        assert np.array_equal(partial_derivative(f, p, (2, 0))[0], partial_derivative(f, p, 2))
+        scalar = partial_derivative(lambda q: np.asarray(q)[:, 0] ** 2, p, 0)
+        assert np.ndim(scalar) == 0 and scalar == pytest.approx(2.0)
 
 
 class TestOracleOnDenseMetric:
@@ -203,7 +278,8 @@ class TestOracleOnDenseMetric:
 
     def pulled_back(self, chart, p):
         jac = self.J
-        metric_fn = lambda q: jac.T @ metric_at(chart, tuple(jac @ np.asarray(q))) @ jac
+        # one point or a stack: rows q' map to q = J q', i.e. q' @ J^T
+        metric_fn = lambda q: jac.T @ metric_at(chart, np.asarray(q) @ jac.T) @ jac
         return metric_fn, tuple(np.linalg.solve(jac, np.asarray(p)))
 
     @pytest.mark.parametrize("chart,p", CASES)

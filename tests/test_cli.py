@@ -173,6 +173,21 @@ class TestClassify:
             ("geodesic", "--b", "-1/2", "--family", "null,dv_orbit", "--seed", "-12345"): "--seed -12345",
         }
         cases += [(argv, "ValueError") for argv in bad_seeds]
+        # the profile or the metric leaves the float range: the message
+        # names the first such point, on either side of u's range
+        float_range = {
+            ("curvature", "--b", "2", "--point", "1e200,0,0"): ("ProfileNotFinite", "at u = 1e+200"),
+            ("curvature", "--alpha", "2", "--grid", "1,1,1:1e120..1e120,0..0,0..0"): ("ProfileNotFinite", "at u = 1e+120"),
+            ("geodesic", "--b", "2", "--init", "1e200,0,0,1,0,0"): ("ProfileNotFinite", "at u = 1e+200"),
+            # H x^2 overflows; a NaN Killing residual must not read 0.0
+            ("curvature", "--b", "2", "--grid", "1,1,2:1..1,0.5..0.5,1e200..1e155"): (
+                "MetricNotFinite", "(1.0, 0.5, 1e+200)"),
+            ("curvature", "--b", "2", "--grid", "1,1,3:1..1,0..0,1..1e200"): ("MetricNotFinite", "(1.0, 0.0, 5e+199)"),
+            ("curvature", "--b", "2", "--point", "1,0,1e200"): ("MetricNotFinite", "(1.0, 0.0, 1e+200)"),
+            # g_uu = H x^2 is finite, H'(u) x^2 is not
+            ("curvature", "--b", "2", "--point", "1,0,9e153"): ("MetricNotFinite", "(1.0, 0.0, 9e+153)"),
+        }
+        cases += [(argv, error_type) for argv, (error_type, _) in float_range.items()]
         for argv, error_type in cases:
             code, out = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -196,7 +211,13 @@ class TestClassify:
                 assert message.startswith(f"{bad_seeds[argv]}: "), argv
                 assert "non-negative" in message, argv
             if error_type == "ProfileNotFinite":
-                assert "far enough from 0" in payload["error"]["precondition"], argv
+                assert "far enough from 0, and small enough" in payload["error"]["precondition"], argv
+                assert "leave the float range" in payload["error"]["message"], argv
+                assert "too close to 0" not in payload["error"]["message"], argv
+            if error_type == "MetricNotFinite":
+                assert "leave the float range" in payload["error"]["message"], argv
+            if argv in float_range:
+                assert payload["error"]["message"].endswith(float_range[argv][1]), argv
             if error_type == "OutputNotWritable":
                 assert "--out" in payload["error"]["precondition"], argv
 

@@ -70,6 +70,13 @@ class TestKillingResiduals:
         assert max(killing_residual(Constant(0.0), coordinate_field("x"), GRID)) == 0.0
         assert killing_residual(Constant(1.0), coordinate_field("x"), [(0.3, 0.0, 0.5)]) == pytest.approx(1.0)
 
+    def test_overflowing_metric_certifies_nothing(self):
+        # g_uu = H x^2 is inf, so L_xi g holds inf * 0 = NaN: the reading is
+        # NaN, never the 0.0 of a Killing field
+        with np.errstate(invalid="ignore"):
+            res = killing_residual(PowerLaw(2.0), boost_field(), [(1.0, 0.5, 1e200), (1.0, 0.5, 1.0)])
+        assert np.isnan(res[0]) and res[1] <= 1e-9
+
     def test_rosen_scaling_isometry(self):
         chart = RosenChart(-1.0)
         assert max(killing_residual(chart, scaling_field(-1.0), p) for p in GRID) <= 1e-9

@@ -10,6 +10,7 @@ from lorentz3.lie_core import (
     HomothetyInput,
     IsotropyChoice,
     UnimodularInput,
+    _mat_mul,
     as_rational,
     compose_automorphisms,
     conjugate_derivation,
@@ -233,6 +234,26 @@ class TestAutomorphisms:
         assert is_derivation(conj)
         assert conj.trace_quotient == a.trace_quotient
         assert conj.det_quotient == a.det_quotient
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]), st.integers(1, 7)),
+            min_size=18,
+            max_size=18,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_product_equals_the_triple_sum(self, pairs):
+        # the product skips zero terms; the sum over every k is the reference
+        entries = [Fraction(n, d) for n, d in pairs]
+        a = tuple(tuple(entries[3 * i : 3 * i + 3]) for i in range(3))
+        b = tuple(tuple(entries[9 + 3 * i : 12 + 3 * i]) for i in range(3))
+        reference = tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+        )
+        product = _mat_mul(a, b)
+        assert product == reference
+        assert all(type(e) is Fraction for row in product for e in row)
 
     def test_inner_shift_preserves_quotient_block(self):
         a = Derivation.hyperbolic_diag(3)

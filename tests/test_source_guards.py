@@ -94,6 +94,23 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     missing = [
         f"{getattr(namespace, '__name__', namespace)}.{attr}"
         for namespace, attr, _ in layers.replacements(spans.Recorder(), layers.Counters())
-        if not hasattr(namespace, attr)
+        if not callable(getattr(namespace, attr, None))
     ]
     assert not missing, missing
+
+
+def test_benchmark_oracle_counter_counts_stencils(monkeypatch):
+    # the traced run counts findiff.partial_derivative calls made inside
+    # the oracle: one per stencil, so one from christoffels_fd and one from
+    # riemann_fd per oracle spot check
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    import layers
+    import spans
+    import workloads
+
+    recorder = spans.Recorder(store_spans=False)
+    op = workloads.Op(0, "space", (), {"b": 2}, (1.0, 0.5, -0.5))
+    with spans.patched(layers.replacements(recorder, layers.Counters())):
+        assert workloads.run_op(op).fd is not None
+    assert recorder.totals["geometry.findiff.partial_derivative"].calls == 2
+    assert recorder.totals["geometry.findiff.riemann_fd"].calls == 1
