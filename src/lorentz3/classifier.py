@@ -137,44 +137,13 @@ def groups_isomorphic(a1: Derivation, a2: Derivation) -> bool:
 # Space report
 # ---------------------------------------------------------------------------
 
-_CITATIONS = [
-    {
-        "flag": "symmetric",
-        "result": "the quotient is (globally) symmetric exactly when the extension is unimodular",
-    },
-    {
-        "flag": "locally_symmetric",
-        "result": "beyond the symmetric cases, only the flat b = 0 space is locally symmetric",
-    },
-    {
-        "flag": "flat",
-        "result": "constant curvature forces flatness; the flat cases are the unipotent action (complete) and b = 0 (half Minkowski)",
-    },
-    {
-        "flag": "complete",
-        "result": "geodesically complete only if symmetric; non-unimodular spaces have incomplete timelike and vertical null geodesics",
-    },
-    {
-        "flag": "compact_model",
-        "result": "exactly one non-flat space admits compact quotients (b = 2, via lattices in SOL); the flat Minkowski model admits flat compact quotients",
-    },
-    {
-        "flag": "transverse_3d_group",
-        "result": "a 3-dimensional isometry group with an open orbit exists iff the quotient action has real spectrum",
-    },
-    {
-        "flag": "brinkmann_chart",
-        "result": "non-unimodular spaces carry global Brinkmann coordinates with profile b/u^2; the symmetric models have constant profile 0 or +-1",
-    },
-    {
-        "flag": "b",
-        "result": "b determines the extension group up to isomorphism, and equals -det of the normalized quotient action",
-    },
-]
-
 
 @dataclass(frozen=True)
 class SpaceReport:
+    """Class, exact b, flags, Brinkmann chart and invariant metric; the
+    paper's result behind each field is stated once, as the ``description``
+    of its property in ``schemas/space_report.schema.json``."""
+
     space_class: SpaceClass
     symmetric: bool
     locally_symmetric: bool
@@ -183,7 +152,6 @@ class SpaceReport:
     compact_model: bool
     transverse_3d_group: bool
     brinkmann_chart: Union[PowerLaw, Constant]
-    isometry_group_note: str
     normalization: dict = field(default_factory=dict)
     invariant_metric: Optional[dict] = None
 
@@ -209,57 +177,11 @@ class SpaceReport:
                 "transverse_3d_group": self.transverse_3d_group,
             },
             "brinkmann_chart": chart_json,
-            "isometry_group_note": self.isometry_group_note,
-            "citations": _CITATIONS,
             "normalization": self.normalization,
         }
         if self.invariant_metric is not None:
             out["invariant_metric"] = self.invariant_metric
         return out
-
-
-def _note_for(cls: SpaceClass) -> str:
-    if cls.tag == MINKOWSKI_FLAT:
-        return (
-            "isometric to Minkowski space; the extension acts as a unipotent "
-            "one-parameter group of affine isometries, and compact flat "
-            "quotients exist (lattices in the Heisenberg group)"
-        )
-    if cls.tag == HALF_MINKOWSKI_FLAT:
-        return (
-            "globally isometric to half Minkowski; the extension is the "
-            "affine group acting on a degenerate plane; flat compact "
-            "manifolds exist but none is a quotient of this space"
-        )
-    if cls.tag == CW_HYPERBOLIC:
-        return (
-            "indecomposable symmetric space (hyperbolic type) with a "
-            "4-dimensional solvable isometry group; no compact model"
-        )
-    if cls.tag == CW_ELLIPTIC:
-        return (
-            "indecomposable symmetric space (elliptic type, oscillator "
-            "group); no compact model and no transverse 3-dimensional group"
-        )
-    if cls.tag == NONUNI_ELLIPTIC:
-        return (
-            "similarity action with non-real spectrum: no 3-dimensional "
-            "group acts with an open orbit; neither locally symmetric nor "
-            "locally isometric to a left-invariant metric on a 3-dimensional "
-            "group"
-        )
-    if cls.tag == NONUNI_PARABOLIC:
-        return "boundary case b = -1/4 (repeated real eigenvalue, non-diagonalizable)"
-    if cls.b == 2:
-        return (
-            "isometry group contains a copy of SOL = SO(1,1) x| R^2 acting "
-            "properly; every lattice in SOL gives a compact quotient, and "
-            "this is the only non-flat space with compact models"
-        )
-    return (
-        "isometry component is the 4-dimensional extension itself; a "
-        "transverse 3-dimensional subgroup exists (real spectrum)"
-    )
 
 
 def report_from_class(
@@ -287,7 +209,6 @@ def report_from_class(
         compact_model=cls.tag == MINKOWSKI_FLAT or cls.b == 2,
         transverse_3d_group=cls.tag not in (NONUNI_ELLIPTIC, CW_ELLIPTIC),
         brinkmann_chart=chart,
-        isometry_group_note=_note_for(cls),
         normalization=normalization or {},
         invariant_metric=invariant_metric,
     )

@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -179,7 +180,8 @@ class ProfileNotFinite(ValueError):
     b/u^2 or H'(u) on PowerLaw, delta(u), H(u) or H'(u) on a Rosen chart.
     It leaves the float range on either side: near 0, u*u underflows below
     about 1e-162 and u**3 below about 1e-108; for large u, u**3 overflows
-    above about 5.6e102, and u^(2 alpha) once |2 alpha log10 u| passes 308."""
+    above about 5.6e102, and u^(2 alpha) once |2 alpha log10 u| passes 308.
+    PowerLaw(0), flat half Minkowski, has the profile 0 at every u > 0."""
 
 
 class MetricNotFinite(ValueError):
@@ -548,19 +550,28 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(_absorb_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        return args.func(args, parser)
-    except (ValueError, ArithmeticError) as exc:
-        payload = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "precondition": _PRECONDITIONS.get(
-                    type(exc).__name__, _PRECONDITIONS["ValueError"]
-                ),
+        try:
+            code = args.func(args, parser)
+        except (ValueError, ArithmeticError) as exc:
+            payload = {
+                "error": {
+                    "type": type(exc).__name__,
+                    "message": str(exc),
+                    "precondition": _PRECONDITIONS.get(
+                        type(exc).__name__, _PRECONDITIONS["ValueError"]
+                    ),
+                }
             }
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`lorentz3 ... | head -1`).  As the Python
+        # docs advise for SIGPIPE, point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

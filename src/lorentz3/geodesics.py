@@ -489,7 +489,6 @@ def _verdict_constant(chart: Constant, family: str, states: list[GeodesicState])
             for t, row in zip(res.times, res.states)
         )
         rec["integrator_vs_closed_form_sup_rel_gap"] = float(gap)
-        rec["global_existence"] = "closed-form solution defined for all affine time"
         details.append(rec)
     if family == "spacelike":
         verdict = "unstated-in-paper"

@@ -37,15 +37,18 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Brinkmann profile H(u) = b / u^2 on the domain u > 0."""
+    """Brinkmann profile H(u) = b / u^2 on the domain u > 0.
+
+    At b = 0 the profile is 0 at every u, also where u*u underflows or
+    u**3 overflows, with the signs of b / (u*u) and -2b / u**3."""
 
     b: float
 
     def h(self, u: float) -> float:
-        return self.b / (u * u)
+        return self.b / (u * u) if self.b else self.b
 
     def dh(self, u: float) -> float:
-        return -2.0 * self.b / u**3
+        return -2.0 * self.b / u**3 if self.b else -2.0 * self.b / math.copysign(1.0, u)
 
     half_space = True
 

@@ -72,6 +72,22 @@ class TestMetricAt:
         metric_at(Constant(1.0), (-10.0, 0.0, 0.0))
 
 
+class TestPowerLawProfile:
+    @pytest.mark.parametrize("b", [2.0, -0.25, 1e-300, -3e300])
+    @pytest.mark.parametrize("u", [1e-100, 0.3, 7.5, 1e100])
+    def test_h_and_dh_are_the_power_law(self, b, u):
+        chart = PowerLaw(b)
+        assert chart.h(u).hex() == (b / (u * u)).hex()
+        assert chart.dh(u).hex() == (-2.0 * b / u**3).hex()
+
+    @pytest.mark.parametrize("u", [1e-300, 1e-200, 1.0, 1e155, 1e300])
+    def test_flat_profile_is_zero_at_every_u(self, u):
+        # u*u underflows below about 1e-162, u**3 overflows above 5.6e102
+        chart = PowerLaw(0.0)
+        assert chart.h(u).hex() == "0x0.0p+0"
+        assert chart.dh(u).hex() == "-0x0.0p+0"
+
+
 class TestChristoffels:
     def test_power_law_closed_form(self):
         gamma = christoffels(PowerLaw(2.0), (1.0, 0.0, 1.0))

@@ -168,7 +168,6 @@ class TestSpaceReport:
         rep = space_report(Derivation.rosen_exponent(-1))
         assert rep.b == 2
         assert rep.compact_model
-        assert "SOL" in rep.isometry_group_note
         assert isinstance(rep.brinkmann_chart, PowerLaw)
         assert rep.brinkmann_chart.b == 2.0
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -326,6 +327,14 @@ class TestCurvature:
                 main(["curvature", "--b", "2", *modes])
             assert excinfo.value.code == 2, modes
 
+    def test_flat_half_space_has_no_profile_limit(self, capsys, schema_validator):
+        # PowerLaw(0): u*u underflows at u = 1e-200, but H(u) is 0 at every u
+        code, out = run_cli(capsys, "curvature", "--class", "HalfMinkowskiFlat", "--point", "1e-200,0,0")
+        assert code == 0
+        payload = json.loads(out)
+        schema_validator("curvature_report", payload)
+        assert payload["max_abs_riemann"] == 0.0
+
     def test_domain_error(self, capsys, schema_validator):
         code, out = run_cli(capsys, "curvature", "--b", "2", "--point", "-1,0,0")
         assert code == 1
@@ -344,6 +353,16 @@ class TestGeodesic:
         assert rows[0] == ["t", "u", "v", "x", "du", "dv", "dx", "vel_norm_sq"]
         last = [float(c) for c in rows[-1]]
         assert last[0] == pytest.approx(1.0, abs=1e-6)  # boundary at affine time 1
+
+    def test_flat_half_space_has_no_profile_limit(self, capsys):
+        # PowerLaw(0): u**3 overflows at u = 1e155, but H'(u) is 0 at every u
+        code, out = run_cli(
+            capsys, "geodesic", "--class", "HalfMinkowskiFlat", "--init", "1e155,0,0,1,0,0", "--span", "1"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["t", "u", "v", "x", "du", "dv", "dx", "vel_norm_sq"]
+        assert [float(c) for c in rows[-1]] == [1.0, 1e155, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_family_verdict_json(self, capsys, schema_validator):
         code, out = run_cli(
@@ -510,6 +529,19 @@ class TestVerify:
         lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 2
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_text_output_is_the_same_on_every_run(self, capsys):
+        first = run_cli(capsys, "verify", "--suite", "geometry")
+        second = run_cli(capsys, "verify", "--suite", "geometry")
+        assert first[0] == 0
+        assert first == second
+
+    def test_details_carry_no_elapsed_time(self):
+        from lorentz3.verify import run_check
+
+        result = run_check("acceptance-06-incompleteness")
+        assert result.passed, result.detail
+        assert not re.search(r"\d\s*s\b", result.detail), result.detail
 
     def test_oracle_tolerance_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("LORENTZ3_TOL", "inf")
@@ -693,6 +725,23 @@ class TestOneParserPerProcess:
         assert [r[0] for r in results] == [0, 0, 2, 0, 0, 0, 1, 2, 0]
         for argv, result in zip(self.SEQUENCE, results):
             assert result == self.fresh_interpreter(argv), argv
+
+    def test_closed_pipe_exits_one_without_a_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lorentz3", "classify", "--b", "2"],
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_one_parser_tree_serves_every_call(self, monkeypatch):
         built = []
