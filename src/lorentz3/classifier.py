@@ -162,9 +162,9 @@ class SpaceReport:
     def to_json(self) -> dict:
         chart = self.brinkmann_chart
         if isinstance(chart, PowerLaw):
-            chart_json = {"form": "power-law", "b": chart.b, "domain": "u > 0"}
+            chart_json = {"form": "power-law", "b": chart.b}
         else:
-            chart_json = {"form": "constant", "h": chart.h_value, "domain": "all of R^3"}
+            chart_json = {"form": "constant", "h": chart.h_value}
         out = {
             "class": self.space_class.tag,
             "b": None if self.b is None else str(self.b),
@@ -218,10 +218,7 @@ def space_report(a: Derivation, rationalized_input: bool = False) -> SpaceReport
     """Classify a derivation and assemble the full report, including the
     constructed invariant metric for a standard isotropy choice."""
     cls = classify(a)
-    normalization = {
-        "beta_normalized_to_zero": True,
-        "rationalized_input": rationalized_input,
-    }
+    normalization = {"rationalized_input": rationalized_input}
     if cls.tag not in UNIMODULAR_TAGS:
         canonical = normalize_to_canonical(a)
         normalization["scale"] = str(canonical.scale)

@@ -515,6 +515,9 @@ def completeness_report(
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {unknown}: choose from {', '.join(FAMILIES)}")
+    repeated = list(dict.fromkeys(f for f in families if families.count(f) > 1))
+    if repeated:
+        raise ValueError(f"repeated families {repeated}: name each family once")
     rng = np.random.default_rng(seed)
     verdicts = {}
     for family in families:

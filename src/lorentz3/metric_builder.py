@@ -15,12 +15,14 @@ When the metric exists, it is represented on the ad_W-invariant complement
     ad_W : T -> -Y',   Y' -> kappa Z,   Z -> 0
 
 with ``kappa = alpha * beta' - beta * alpha'`` (primes: components of
-``A(W)``), and skew-invariance pins the Gram matrix down to
+``A(W)``), and skew-invariance pins the Gram matrix down to the family
 
-    g(Y', Y') = alpha_scale,   g(T, Z) = alpha_scale / kappa,
+    g(Y', Y') = s,   g(T, Z) = s / kappa,   g(T, T) = t,   s > 0,
 
-all other entries zero after the ``T -> T + delta Z`` normalization that
-removes ``g(T, T)``.  Everything here is exact rational arithmetic.
+all other entries zero.  The Gram matrix built here is the representative
+with scale s = 1 and shift t = 0 (``T -> T + delta Z`` removes t); the
+space-report schema calls these alpha = 1 and beta = 0.  Everything here
+is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from .lie_core import (
     IsotropyChoice,
     Vec3,
     _mat_mul,
-    as_rational,
     # perfbench/layers.py traces this name in this module.
     extend_algebra,
     is_derivation,
 )
-
-BASIS_LABELS = ("T", "Yprime", "Z")
 
 
 class NoInvariantMetric(ValueError):
@@ -110,14 +109,12 @@ def admits_metric(a: Derivation, w: IsotropyChoice) -> bool:
 class InvariantMetric:
     """Invariant Lorentz form on m = span(T, Y', Z), exact rationals.
 
-    ``yprime`` holds the heis coordinates of Y' = A(W).  The g(T, T) value
-    is always normalized to 0 by T -> T + delta Z, and the report records
-    that.
+    ``yprime`` holds the heis coordinates of Y' = A(W).  The Gram matrix is
+    the scale-1 representative with g(T, T) normalized to 0.
     """
 
     gram: tuple[tuple[Fraction, ...], ...]
     yprime: Vec3
-    scale_alpha: Fraction = Fraction(1)
 
     def signature(self) -> tuple[int, int, int]:
         """(n_plus, n_minus, n_zero) by exact symmetric reduction."""
@@ -129,14 +126,11 @@ class InvariantMetric:
 
     def to_report(self) -> dict:
         return {
-            "basis": list(BASIS_LABELS),
             "yprime_in_heis": [str(c) for c in self.yprime],
             "gram": [[str(e) for e in row] for row in self.gram],
             "signature": {"plus": 2, "minus": 1, "zero": 0}
             if self.is_lorentz
             else dict(zip(("plus", "minus", "zero"), self.signature())),
-            "scale_alpha": str(self.scale_alpha),
-            "shift_beta_normalized_to_zero": True,
         }
 
 
@@ -179,10 +173,8 @@ def _inertia(gram) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
-def build_invariant_metric(
-    a: Derivation, w: IsotropyChoice, scale_alpha=1
-) -> InvariantMetric:
-    """Construct the normalized invariant metric (alpha scale, beta = 0).
+def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> InvariantMetric:
+    """Construct the normalized invariant metric (scale 1, g(T, T) = 0).
 
     Raises NoInvariantMetric when the eigenvector criterion fails.
     """
@@ -190,19 +182,16 @@ def build_invariant_metric(
         raise NoInvariantMetric(
             "the isotropy class is an eigenvector of the quotient action"
         )
-    alpha, _ = as_rational(scale_alpha)
-    if alpha <= 0:
-        raise ValueError("scale_alpha must be positive for Lorentz signature")
     kappa = twist_coefficient(a, w)
     yprime = a.apply(w.heis_coefficients)
-    zero = Fraction(0)
-    c = alpha / kappa
+    zero, one = Fraction(0), Fraction(1)
+    c = one / kappa
     gram = (
         (zero, zero, c),
-        (zero, alpha, zero),
+        (zero, one, zero),
         (c, zero, zero),
     )
-    return InvariantMetric(gram=gram, yprime=yprime, scale_alpha=alpha)
+    return InvariantMetric(gram=gram, yprime=yprime)
 
 
 def ad_w_matrix_on_m(a: Derivation, w: IsotropyChoice):

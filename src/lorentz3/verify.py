@@ -518,20 +518,6 @@ def _metric_criteria_agree():
     return True, f"eigenvector and nilpotency-order criteria agree on {trials} random rational cases"
 
 
-@check("metric-uniqueness-scaling", "metric")
-def _metric_scaling():
-    a = Derivation.hyperbolic_diag(3)
-    w = IsotropyChoice.of(0, 1, 1)
-    base = build_invariant_metric(a, w)
-    lam = Fraction(5, 2)
-    scaled = build_invariant_metric(a, w, scale_alpha=lam)
-    for i in range(3):
-        for j in range(3):
-            if scaled.gram[i][j] != lam * base.gram[i][j]:
-                return False, f"entry ({i},{j}) does not scale by alpha"
-    return True, "Gram at alpha = 5/2 is entrywise 5/2 times the alpha = 1 table"
-
-
 @check("geometry-oracle-agreement", "geometry")
 def _oracle_agreement():
     grid = default_grid(shape=(5, 5, 5))

@@ -3,24 +3,22 @@ from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
-from referencing import Registry, Resource
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "lorentz3" / "schemas"
 
 
 @pytest.fixture(scope="session")
 def schema_validator():
-    """Validator factory resolving cross-references between shipped schemas."""
-    schemas = {}
-    for path in SCHEMA_DIR.glob("*.schema.json"):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        schemas[doc["$id"]] = doc
-    registry = Registry().with_resources(
-        [(sid, Resource.from_contents(doc)) for sid, doc in schemas.items()]
-    )
+    """Validator factory over the shipped schemas.  Each validator is built
+    from its own schema alone, with no registry of the others."""
+    validators = {
+        path.name.removesuffix(".schema.json"): Draft202012Validator(
+            json.loads(path.read_text(encoding="utf-8"))
+        )
+        for path in SCHEMA_DIR.glob("*.schema.json")
+    }
 
     def validate(schema_name: str, payload: dict) -> None:
-        schema = schemas[f"lorentz3/{schema_name}"]
-        Draft202012Validator(schema, registry=registry).validate(payload)
+        validators[schema_name].validate(payload)
 
     return validate

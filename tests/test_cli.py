@@ -118,6 +118,9 @@ class TestClassify:
             (("geodesic", "--b", "2", "--init", "1,0,0,1,0,0", "--span", "nan"), "ValueError"),
             (("geodesic", "--b", "2", "--family", "foo"), "ValueError"),
             (("geodesic", "--b", "2", "--family", ","), "ValueError"),
+            # a repeated family once integrated twice and kept the second draw
+            (("geodesic", "--b", "2", "--family", "timelike,timelike", "--count", "1"), "ValueError"),
+            (("geodesic", "--class", "CahenWallachElliptic", "--family", "null,dv_orbit,null"), "ValueError"),
             (("classify", "--b", "2", "--out", "/nonexistent/dir/x.json"), "OutputNotWritable"),
         ]
         # a zero denominator is a malformed number in every position, and

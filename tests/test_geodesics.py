@@ -275,6 +275,11 @@ class TestCompleteness:
         with pytest.raises(ValueError):
             geo.completeness_report(chart, families=("timelike",), count=0)
 
+    def test_repeated_family_is_refused_by_name(self):
+        # a repeated name once integrated twice and kept the second draw only
+        with pytest.raises(ValueError, match=r"repeated families \['timelike'\]"):
+            geo.completeness_report(PowerLaw(2.0), families=("timelike", "null", "timelike"), count=1)
+
     def test_every_record_counts_the_solver_work(self):
         for chart in (PowerLaw(2.0), Constant(-1.0)):
             rep = geo.completeness_report(chart, families=geo.FAMILIES, count=2, seed=4)

@@ -133,16 +133,6 @@ class TestBuildInvariantMetric:
         with pytest.raises(NoInvariantMetric):
             build_invariant_metric(Derivation.hyperbolic_diag(2), IsotropyChoice.of(0, 1, 0))
 
-    def test_alpha_scaling_is_entrywise(self):
-        a = Derivation.elliptic(2)
-        w = IsotropyChoice.of(0, 1, 0)
-        base = build_invariant_metric(a, w)
-        lam = Fraction(7, 3)
-        scaled = build_invariant_metric(a, w, scale_alpha=lam)
-        for i in range(3):
-            for j in range(3):
-                assert scaled.gram[i][j] == lam * base.gram[i][j]
-
     @given(derivations, isotropy)
     @settings(max_examples=60)
     def test_signature_and_skew_on_random_admissible_data(self, a, w):

@@ -1,0 +1,82 @@
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from jsonschema import Draft202012Validator, ValidationError
+
+import lorentz3
+from lorentz3.classifier import space_report
+from lorentz3.lie_core import Derivation
+
+SCHEMA_DIR = Path(lorentz3.__file__).parent / "schemas"
+
+
+def test_every_shipped_schema_is_valid_and_self_contained():
+    paths = sorted(SCHEMA_DIR.glob("*.schema.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        Draft202012Validator.check_schema(json.loads(text))
+        assert "$ref" not in text, path.name
+
+
+@pytest.fixture
+def report():
+    # built from a derivation, so the report carries its invariant metric
+    return space_report(Derivation.parabolic()).to_json()
+
+
+def test_invariant_metric_rejects_an_extra_key_and_a_missing_gram(schema_validator, report):
+    extra = copy.deepcopy(report)
+    extra["invariant_metric"]["kappa"] = "1"
+    with pytest.raises(ValidationError):
+        schema_validator("space_report", extra)
+    missing = copy.deepcopy(report)
+    del missing["invariant_metric"]["gram"]
+    with pytest.raises(ValidationError):
+        schema_validator("space_report", missing)
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("invariant_metric", "basis", ["T", "Yprime", "Z"]),
+        ("invariant_metric", "scale_alpha", "1"),
+        ("invariant_metric", "shift_beta_normalized_to_zero", True),
+        ("normalization", "beta_normalized_to_zero", True),
+        ("brinkmann_chart", "domain", "u > 0"),
+    ],
+)
+def test_constant_keys_are_gone_and_refused(schema_validator, report, block, key, value):
+    # each was the same for every input; the schema's descriptions state it
+    assert key not in report[block]
+    stale = copy.deepcopy(report)
+    stale[block][key] = value
+    with pytest.raises(ValidationError, match="Additional properties"):
+        schema_validator("space_report", stale)
+
+
+@pytest.mark.parametrize("b, ok", [(None, True), ("-1/4", True), (2, False), (-0.25, False), ("b", False)])
+def test_b_is_null_or_an_exact_rational_string(schema_validator, report, b, ok):
+    report["b"] = b
+    if ok:
+        schema_validator("space_report", report)
+    else:
+        with pytest.raises(ValidationError):
+            schema_validator("space_report", report)
+
+
+def _verdict_with(field, value):
+    record = {"initial": [1.0, 0.0, 0.0, -1.0, 0.0, 0.0], "nfev": 12, "nsteps": 2, field: value}
+    family = {"verdict": "incomplete", "evidence": "-", "count": 1, "details": [record]}
+    return {"chart": "PowerLaw(b=2.0)", "seed": 1, "affine_horizon": 1e4, "verdicts": {"timelike": family}}
+
+
+@pytest.mark.parametrize("field", ["predicted_affine_time", "affine_prediction_gap", "transverse_fit_gap"])
+def test_verdict_gaps_are_a_number_or_null(schema_validator, field):
+    for value in (None, 0.5, 0):
+        schema_validator("geodesic_verdict", _verdict_with(field, value))
+    for value in ("0.5", True, [0.5]):
+        with pytest.raises(ValidationError):
+            schema_validator("geodesic_verdict", _verdict_with(field, value))
