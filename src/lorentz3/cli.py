@@ -352,6 +352,10 @@ def _cmd_curvature(args, parser) -> int:
 def _cmd_geodesic(args, parser) -> int:
     from . import geodesics as geo  # scipy loads only for this command
 
+    mode, other_flags = ("--init", ("--count", "--seed")) if args.init is not None else ("--family", ("--span",))
+    for flag in other_flags:
+        if getattr(args, flag[2:]) is not None:
+            parser.error(f"argument {flag}: not allowed with argument {mode}")
     chart = _resolve_chart(args)
     if args.init is not None:
         parts = [_parse_number(p) for p in args.init.split(",")]
@@ -359,7 +363,7 @@ def _cmd_geodesic(args, parser) -> int:
             parser.error("--init expects u,v,x,du,dv,dx")
         _profile_check(chart)(parts[0])
         state = geo.GeodesicState.of(*parts)
-        res = geo.integrate_geodesic(chart, state, (0.0, args.span))
+        res = geo.integrate_geodesic(chart, state, (0.0, 10.0 if args.span is None else args.span))
         _emit_csv(
             ["t", "u", "v", "x", "du", "dv", "dx", "vel_norm_sq"],
             res.csv_rows(chart),
@@ -367,11 +371,11 @@ def _cmd_geodesic(args, parser) -> int:
         )
         return 0
     families = tuple(args.family.split(","))
-    count = _sample_count(args.count, "--count")
-    if args.seed < 0:
-        raise ValueError(f"--seed {args.seed}: a seed is a non-negative integer")
-    report = geo.completeness_report(chart, families=families, count=count, seed=args.seed)
-    _emit_json(report.to_json(), args.out)
+    count = _sample_count(20 if args.count is None else args.count, "--count")
+    seed = 12345 if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed {seed}: a seed is a non-negative integer")
+    _emit_json(geo.completeness_report(chart, families=families, count=count, seed=seed), args.out)
     return 0
 
 
@@ -488,9 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
         "u,v,x,du,dv,dx; the CSV has one row per accepted solver step; the absolute error of its "
         "vel_norm_sq = g(gamma', gamma') scales with its largest term (|2 du dv|, |H x^2 du^2|, dx^2)"))
     mode.add_argument("--family", help="comma list from: timelike,null,dv_orbit,spacelike")
-    p_geo.add_argument("--span", type=float, default=10.0, help="affine span for --init runs")
-    p_geo.add_argument("--count", type=int, default=20, help="samples per family")
-    p_geo.add_argument("--seed", type=int, default=12345, help="seed for initial conditions (recorded in output)")
+    p_geo.add_argument("--span", type=float, help="--init mode only: affine span of the run (default 10)")
+    p_geo.add_argument("--count", type=int, help="--family mode only: samples per family (default 20)")
+    p_geo.add_argument("--seed", type=int, help=(
+        "--family mode only: seed for the initial conditions, recorded in the output (default 12345)"))
     p_geo.add_argument("--out")
     p_geo.set_defaults(func=_cmd_geodesic)
 

@@ -15,9 +15,12 @@ is the solver's accepted steps, and every verdict record carries the
 solver's work (``nfev``, ``nsteps``).
 
 Completeness verdicts are numerical *evidence*, never proofs, and the
-reports say so.  Incompleteness is certified by a domain-boundary hit at
-finite affine parameter, cross-checked against the exact affine law for u
-and the fitted closed-form transverse solution, not by integrator failure.
+reports say so.  :func:`completeness_report` returns the ``geodesic
+--family`` JSON payload itself, a plain dict.  Incompleteness is certified
+by a domain-boundary hit at finite affine parameter, not by integrator
+failure; the verdict record of each hit cross-checks it against the exact
+affine time (u_min - u0) / du0, computed there, and against the fitted
+closed-form transverse solution.
 A failed integration yields no verdict and no trajectory: it raises
 :class:`SolutionLeftFloatRange`.  The work of one integration grows with
 the phase of its transverse solution, so a run whose phase exceeds
@@ -31,7 +34,7 @@ first integral g(gamma', gamma') is :func:`conservation_drift`, which the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -104,10 +107,9 @@ class GeodesicResult:
 
     ``terminated`` is completed_span or hit_domain_boundary.
     ``boundary_time`` holds the affine parameter of the u -> 0 hit when
-    applicable, with ``predicted_boundary_time`` from the exact affine law
-    u(t) = u0 + du0 * t.  ``nfev`` counts right-hand-side evaluations.  The
-    result carries no self-check: :func:`conservation_drift` audits a
-    trajectory on request.
+    applicable.  ``nfev`` counts right-hand-side evaluations.  The result
+    carries no self-check: :func:`conservation_drift` audits a trajectory on
+    request.
     """
 
     times: np.ndarray
@@ -115,7 +117,6 @@ class GeodesicResult:
     terminated: str
     nfev: int
     boundary_time: Optional[float] = None
-    predicted_boundary_time: Optional[float] = None
 
     def csv_rows(self, chart: PowerLaw | Constant) -> list[list[float]]:
         """Rows t, u, v, x, du, dv, dx, vel_norm_sq = g(gamma', gamma').  The
@@ -160,7 +161,8 @@ def integrate_geodesic(
 ) -> GeodesicResult:
     """Adaptive DOP853 integration with domain-boundary detection.
 
-    ``span`` may run backwards (t1 < t0) but both ends must be finite.  On
+    ``span`` may run backwards (t1 < t0) but both ends must be finite and
+    distinct.  On
     half-space charts the boundary event u = DEFAULT_U_MIN is armed, and the
     start must lie above it: the event fires only on a crossing.  A run
     whose :func:`transverse_phase` exceeds MAX_PHASE raises
@@ -169,6 +171,8 @@ def integrate_geodesic(
     """
     if not all(math.isfinite(t) for t in span):
         raise ValueError(f"span = {tuple(span)}: both ends must be finite")
+    if span[0] == span[1]:
+        raise ValueError(f"span = {tuple(span)}: the ends are equal, so the run has no step")
     check_domain(chart, initial.position)
     u0 = initial.position[0]
     if chart.half_space and not u0 > DEFAULT_U_MIN:
@@ -216,21 +220,12 @@ def integrate_geodesic(
             f"({sol.message}): the solution left float range"
         )
 
-    du0 = initial.velocity[0]
-    predicted = None
-    if chart.half_space and du0 != 0.0:
-        t_hit = span[0] + (DEFAULT_U_MIN - u0) / du0
-        span_lo, span_hi = min(span), max(span)
-        if span_lo <= t_hit <= span_hi:
-            predicted = t_hit
-
     return GeodesicResult(
         times=sol.t,
         states=sol.y.T,
         terminated=terminated,
         nfev=int(sol.nfev),
         boundary_time=boundary_time,
-        predicted_boundary_time=predicted,
     )
 
 
@@ -367,99 +362,35 @@ def sample_initial_conditions(
     return states
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
-    family: str
-    verdict: str  # complete | incomplete | unstated-in-paper
-    evidence: str
-    count: int
-    details: list = field(default_factory=list)
+def _power_law_sample(chart: PowerLaw, st: GeodesicState):
+    """Integrations of one sample, and the fields its record adds.
+
+    The direction in which u decreases goes first: a boundary hit there
+    settles the sample without integrating out to the affine horizon.  A
+    run that fails raises, so a sample without a hit completed the span
+    both ways.
+    """
+    du0 = st.velocity[0]
+    runs = []
+    for direction in (-1.0, +1.0) if du0 > 0 else (+1.0, -1.0):
+        res = integrate_geodesic(chart, st, (0.0, direction * DEFAULT_HORIZON))
+        runs.append(res)
+        if res.terminated == "hit_domain_boundary":
+            # a hit needs du0 != 0, and u(t) = u0 + du0 t is exact
+            predicted = (DEFAULT_U_MIN - st.position[0]) / du0
+            return runs, {
+                "direction": "forward" if direction > 0 else "backward",
+                "boundary_affine_time": res.boundary_time,
+                "predicted_affine_time": predicted,
+                "affine_prediction_gap": abs(res.boundary_time - predicted),
+                "transverse_fit_gap": _transverse_fit_gap(chart, st, res),
+            }
+    return runs, {}
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    chart_label: str
-    seed: int
-    verdicts: dict[str, FamilyVerdict]
-
-    def to_json(self) -> dict:
-        return {
-            "chart": self.chart_label,
-            "seed": self.seed,
-            "affine_horizon": DEFAULT_HORIZON,
-            "verdicts": {
-                name: {
-                    "verdict": fv.verdict,
-                    "evidence": fv.evidence,
-                    "count": fv.count,
-                    "details": fv.details,
-                }
-                for name, fv in self.verdicts.items()
-            },
-        }
-
-
-def _verdict_power_law(chart: PowerLaw, family: str, states: list[GeodesicState]) -> FamilyVerdict:
-    details = []
-    all_hit = True
-    all_complete = True
-    for st in states:
-        rec = {"initial": list(st.position) + list(st.velocity), "nfev": 0, "nsteps": 0}
-        hit_some_direction = False
-        # try the direction in which u decreases first: a boundary hit there
-        # settles the verdict without integrating out to the affine horizon.
-        # A run that fails raises, so a sample without a hit completed the
-        # span both ways.
-        du0 = st.velocity[0]
-        directions = (-1.0, +1.0) if du0 > 0 else (+1.0, -1.0)
-        for direction in directions:
-            res = integrate_geodesic(chart, st, (0.0, direction * DEFAULT_HORIZON))
-            rec["nfev"] += res.nfev
-            rec["nsteps"] += len(res.times) - 1
-            if res.terminated == "hit_domain_boundary":
-                hit_some_direction = True
-                rec["direction"] = "forward" if direction > 0 else "backward"
-                rec["boundary_affine_time"] = res.boundary_time
-                rec["predicted_affine_time"] = res.predicted_boundary_time
-                rec["affine_prediction_gap"] = (
-                    abs(res.boundary_time - res.predicted_boundary_time)
-                    if res.predicted_boundary_time is not None
-                    else None
-                )
-                rec["transverse_fit_gap"] = _transverse_fit_gap(chart, st, res)
-                break
-        if not hit_some_direction:
-            all_hit = False
-        else:
-            all_complete = False
-        details.append(rec)
-    if family == "dv_orbit":
-        verdict = "complete"
-        evidence = f"every orbit of the parallel field reached affine span {DEFAULT_HORIZON:g} (numerical evidence, not proof)"
-    elif family == "spacelike":
-        verdict = "unstated-in-paper"
-        evidence = "no classification is asserted for spacelike geodesics"
-    elif all_hit:
-        verdict = "incomplete"
-        evidence = (
-            "every sampled geodesic left the chart at u -> 0+ at finite affine "
-            "parameter; boundary times match the exact affine law for u and the "
-            "fitted closed-form transverse solution"
-        )
-    elif all_complete:
-        verdict = "complete"
-        evidence = "all sampled geodesics reached the affine horizon (numerical evidence, not proof)"
-    else:
-        verdict = "mixed"
-        evidence = "some sampled geodesics reached the horizon, others hit the boundary"
-    return FamilyVerdict(family=family, verdict=verdict, evidence=evidence, count=len(states), details=details)
-
-
-def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicResult):
+def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicResult) -> float:
     """Sup relative gap between sampled x and the fitted Euler solution x(u);
     relative because x blows up like a negative power of u at the boundary."""
-    if initial.velocity[0] == 0.0:
-        return None
     x_of_u = transverse_profile_in_u(chart, initial)
     gap = 0.0
     for row in res.states:
@@ -471,36 +402,44 @@ def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicRe
     return gap
 
 
-def _verdict_constant(chart: Constant, family: str, states: list[GeodesicState]) -> FamilyVerdict:
+def _constant_sample(chart: Constant, st: GeodesicState):
     """Constant profiles have no domain boundary and a linear geodesic
     system, so every solution is global; the closed form is evaluated
     directly and spot-checked against the integrator on a short span."""
-    details = []
-    for st in states:
-        res = integrate_geodesic(chart, st, (0.0, 50.0))
-        rec = {
-            "initial": list(st.position) + list(st.velocity),
-            "nfev": res.nfev,
-            "nsteps": len(res.times) - 1,
-        }
-        x_exact = constant_chart_transverse(chart, st)
-        gap = max(
-            abs(row[2] - x_exact(t)) / max(1.0, abs(x_exact(t)))
-            for t, row in zip(res.times, res.states)
-        )
-        rec["integrator_vs_closed_form_sup_rel_gap"] = float(gap)
-        details.append(rec)
+    res = integrate_geodesic(chart, st, (0.0, 50.0))
+    x_exact = constant_chart_transverse(chart, st)
+    gap = max(
+        abs(row[2] - x_exact(t)) / max(1.0, abs(x_exact(t)))
+        for t, row in zip(res.times, res.states)
+    )
+    return [res], {"integrator_vs_closed_form_sup_rel_gap": float(gap)}
+
+
+def _verdict(chart: PowerLaw | Constant, family: str, details: list[dict]) -> tuple[str, str]:
+    """The family's verdict (complete, incomplete, mixed or
+    unstated-in-paper) and its evidence, from the sample records."""
     if family == "spacelike":
-        verdict = "unstated-in-paper"
-        evidence = "no classification is asserted for spacelike geodesics"
-    else:
-        verdict = "complete"
-        evidence = (
+        return "unstated-in-paper", "no classification is asserted for spacelike geodesics"
+    if isinstance(chart, Constant):
+        return "complete", (
             "no domain boundary exists and the transverse equation is linear "
             "with constant coefficients: the closed-form solution is global; "
             "integrator cross-checked on a finite span (evidence, not proof)"
         )
-    return FamilyVerdict(family=family, verdict=verdict, evidence=evidence, count=len(states), details=details)
+    if family == "dv_orbit":
+        return "complete", (
+            f"every orbit of the parallel field reached affine span {DEFAULT_HORIZON:g} (numerical evidence, not proof)"
+        )
+    hits = sum("boundary_affine_time" in rec for rec in details)
+    if hits == len(details):
+        return "incomplete", (
+            "every sampled geodesic left the chart at u -> 0+ at finite affine "
+            "parameter; boundary times match the exact affine law for u and the "
+            "fitted closed-form transverse solution"
+        )
+    if hits == 0:
+        return "complete", "all sampled geodesics reached the affine horizon (numerical evidence, not proof)"
+    return "mixed", "some sampled geodesics reached the horizon, others hit the boundary"
 
 
 def completeness_report(
@@ -508,25 +447,37 @@ def completeness_report(
     families: Iterable[str] = FAMILIES,
     count: int = 20,
     seed: int = 12345,
-) -> CompletenessReport:
+) -> dict:
+    """The ``geodesic --family`` payload (``geodesic_verdict.schema.json``):
+    per family, the verdict, its evidence and one record per seeded sample,
+    with the solver work of that sample's integrations."""
     if count < 1:
         raise ValueError(f"count = {count}: a verdict needs at least one sample")
     families = tuple(families)
+    if not families:
+        raise ValueError(f"no families: name at least one of {', '.join(FAMILIES)}")
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {unknown}: choose from {', '.join(FAMILIES)}")
     repeated = list(dict.fromkeys(f for f in families if families.count(f) > 1))
     if repeated:
         raise ValueError(f"repeated families {repeated}: name each family once")
+    sample = _constant_sample if isinstance(chart, Constant) else _power_law_sample
     rng = np.random.default_rng(seed)
     verdicts = {}
     for family in families:
-        states = sample_initial_conditions(chart, family, count, rng)
-        if isinstance(chart, Constant):
-            verdicts[family] = _verdict_constant(chart, family, states)
-        else:
-            verdicts[family] = _verdict_power_law(chart, family, states)
-    return CompletenessReport(chart_label=str(chart), seed=seed, verdicts=verdicts)
+        details = []
+        for st in sample_initial_conditions(chart, family, count, rng):
+            runs, fields = sample(chart, st)
+            details.append({
+                "initial": list(st.position) + list(st.velocity),
+                "nfev": sum(res.nfev for res in runs),
+                "nsteps": sum(len(res.times) - 1 for res in runs),
+                **fields,
+            })
+        verdict, evidence = _verdict(chart, family, details)
+        verdicts[family] = {"verdict": verdict, "evidence": evidence, "count": count, "details": details}
+    return {"chart": str(chart), "seed": seed, "affine_horizon": DEFAULT_HORIZON, "verdicts": verdicts}
 
 
 # ---------------------------------------------------------------------------

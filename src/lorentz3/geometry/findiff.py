@@ -103,10 +103,11 @@ def _christoffels(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
 
 
-def christoffels_fd(metric_fn: Callable, points, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Gamma^k_ij from finite differences of the metric alone."""
+def christoffels_fd(metric_fn: Callable, points) -> np.ndarray:
+    """Gamma^k_ij from finite differences of the metric alone, at
+    DEFAULT_STEP."""
     centres, single = _as_stack(points)
-    gamma = _christoffels(_values(metric_fn, centres), partial_derivative(metric_fn, centres, _AXES, step))
+    gamma = _christoffels(_values(metric_fn, centres), partial_derivative(metric_fn, centres, _AXES))
     return gamma[0] if single else gamma
 
 

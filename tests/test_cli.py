@@ -116,6 +116,9 @@ class TestClassify:
             # a span that never ends
             (("geodesic", "--class", "CahenWallachHyperbolic", "--init", "0,0,0,1,0,0", "--span", "inf"), "ValueError"),
             (("geodesic", "--b", "2", "--init", "1,0,0,1,0,0", "--span", "nan"), "ValueError"),
+            # a span with equal ends once printed the initial row twice
+            (("geodesic", "--b", "2", "--init", "1,0,0,1,0,0", "--span", "0"), "ValueError"),
+            (("geodesic", "--class", "CahenWallachElliptic", "--init", "1,0,0,1,0,0", "--span", "-0"), "ValueError"),
             (("geodesic", "--b", "2", "--family", "foo"), "ValueError"),
             (("geodesic", "--b", "2", "--family", ","), "ValueError"),
             # a repeated family once integrated twice and kept the second draw
@@ -458,6 +461,18 @@ class TestGeodesic:
             with pytest.raises(SystemExit) as excinfo:
                 main(["geodesic", "--b", "2", *modes])
             assert excinfo.value.code == 2, modes
+
+    def test_flags_of_the_other_mode_are_usage_errors(self, capsys):
+        # each was once ignored, with exit 0
+        for argv, flag, mode in (
+            (("--family", "dv_orbit", "--count", "1", "--span", "3"), "--span", "--family"),
+            (("--init", "1,0,0,1,0,0", "--span", "1", "--count", "3"), "--count", "--init"),
+            (("--init", "1,0,0,1,0,0", "--seed", "3"), "--seed", "--init"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["geodesic", "--b", "2", *argv])
+            assert excinfo.value.code == 2, argv
+            assert f"argument {flag}: not allowed with argument {mode}" in capsys.readouterr().err, argv
 
 
 class TestRemovedKnobs:

@@ -77,7 +77,7 @@ class TestIntegration:
         )
         assert res.terminated == "hit_domain_boundary"
         assert res.boundary_time == pytest.approx(1.0, abs=1e-6)
-        assert res.predicted_boundary_time == pytest.approx(res.boundary_time, abs=1e-9)
+        assert res.boundary_time == pytest.approx(1.0 - geo.DEFAULT_U_MIN, abs=1e-9)  # u(t) = 1 - t
         assert np.max(np.abs(res.states[:, 2])) == 0.0  # stays on {x = 0}
 
     def test_dv_orbit_completes_long_spans(self):
@@ -245,19 +245,19 @@ class TestCompleteness:
             PowerLaw(2.0), families=("timelike", "null"), count=6, seed=99
         )
         for family in ("timelike", "null"):
-            fam = rep.verdicts[family]
-            assert fam.verdict == "incomplete"
-            for rec in fam.details:
+            fam = rep["verdicts"][family]
+            assert fam["verdict"] == "incomplete"
+            for rec in fam["details"]:
                 assert rec["affine_prediction_gap"] <= 1e-5
                 assert rec["transverse_fit_gap"] <= 1e-6
 
     def test_dv_orbits_complete(self):
         rep = geo.completeness_report(PowerLaw(-0.5), families=("dv_orbit",), count=4, seed=1)
-        assert rep.verdicts["dv_orbit"].verdict == "complete"
+        assert rep["verdicts"]["dv_orbit"]["verdict"] == "complete"
 
     def test_spacelike_has_no_verdict(self):
         rep = geo.completeness_report(PowerLaw(2.0), families=("spacelike",), count=3, seed=2)
-        assert rep.verdicts["spacelike"].verdict == "unstated-in-paper"
+        assert rep["verdicts"]["spacelike"]["verdict"] == "unstated-in-paper"
 
     @pytest.mark.parametrize("h", [1.0, -1.0])
     def test_symmetric_models_complete(self, h):
@@ -265,15 +265,37 @@ class TestCompleteness:
             Constant(h), families=("timelike", "null"), count=4, seed=5
         )
         for family in ("timelike", "null"):
-            fam = rep.verdicts[family]
-            assert fam.verdict == "complete"
-            for rec in fam.details:
+            fam = rep["verdicts"][family]
+            assert fam["verdict"] == "complete"
+            for rec in fam["details"]:
                 assert rec["integrator_vs_closed_form_sup_rel_gap"] <= 1e-6
 
     @pytest.mark.parametrize("chart", [PowerLaw(2.0), Constant(1.0)])
     def test_no_verdict_without_samples(self, chart):
         with pytest.raises(ValueError):
             geo.completeness_report(chart, families=("timelike",), count=0)
+
+    @pytest.mark.parametrize("chart", [PowerLaw(2.0), Constant(1.0)])
+    def test_no_report_without_families(self, chart):
+        # an empty family list once gave "verdicts": {}
+        with pytest.raises(ValueError, match="no families"):
+            geo.completeness_report(chart, families=(), count=1)
+
+    @pytest.mark.parametrize("family", geo.FAMILIES)
+    @pytest.mark.parametrize("chart", [PowerLaw(2.0), Constant(1.0)], ids=["PowerLaw(2)", "Constant(1)"])
+    def test_report_is_the_schema_valid_payload(self, schema_validator, chart, family):
+        rep = geo.completeness_report(chart, families=(family,), count=2, seed=6)
+        schema_validator("geodesic_verdict", rep)
+        assert list(rep["verdicts"]) == [family]
+
+    def test_hit_records_carry_the_exact_affine_time(self):
+        rep = geo.completeness_report(PowerLaw(2.0), families=geo.FAMILIES, count=4, seed=8)
+        hits = [rec for fam in rep["verdicts"].values() for rec in fam["details"] if "boundary_affine_time" in rec]
+        assert len(hits) == 12  # every timelike, null and spacelike sample
+        for rec in hits:
+            u0, du0 = rec["initial"][0], rec["initial"][3]
+            assert rec["predicted_affine_time"] == (1e-8 - u0) / du0
+            assert rec["affine_prediction_gap"] == abs(rec["boundary_affine_time"] - rec["predicted_affine_time"])
 
     def test_repeated_family_is_refused_by_name(self):
         # a repeated name once integrated twice and kept the second draw only
@@ -283,8 +305,8 @@ class TestCompleteness:
     def test_every_record_counts_the_solver_work(self):
         for chart in (PowerLaw(2.0), Constant(-1.0)):
             rep = geo.completeness_report(chart, families=geo.FAMILIES, count=2, seed=4)
-            for fam in rep.verdicts.values():
-                for rec in fam.details:
+            for fam in rep["verdicts"].values():
+                for rec in fam["details"]:
                     assert 1 <= rec["nsteps"] < rec["nfev"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -299,7 +321,7 @@ class TestCompleteness:
     def test_report_is_seed_deterministic(self):
         a = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
         b = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
-        assert a.to_json() == b.to_json()
+        assert a == b
 
 
 class TestBoost:

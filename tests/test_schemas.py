@@ -67,6 +67,23 @@ def test_b_is_null_or_an_exact_rational_string(schema_validator, report, b, ok):
             schema_validator("space_report", report)
 
 
+def test_every_required_key_is_declared():
+    # a required key missing from "properties" is a typo that no
+    # additionalProperties: false ever lets a payload satisfy
+    def walk(node, where):
+        if isinstance(node, dict):
+            for key in node.get("required", []):
+                assert key in node.get("properties", {}), (where, key)
+            for key, child in node.items():
+                walk(child, f"{where}/{key}")
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                walk(child, f"{where}/{i}")
+
+    for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
+        walk(json.loads(path.read_text(encoding="utf-8")), path.name)
+
+
 def _verdict_with(field, value):
     record = {"initial": [1.0, 0.0, 0.0, -1.0, 0.0, 0.0], "nfev": 12, "nsteps": 2, field: value}
     family = {"verdict": "incomplete", "evidence": "-", "count": 1, "details": [record]}
@@ -74,9 +91,28 @@ def _verdict_with(field, value):
 
 
 @pytest.mark.parametrize("field", ["predicted_affine_time", "affine_prediction_gap", "transverse_fit_gap"])
-def test_verdict_gaps_are_a_number_or_null(schema_validator, field):
-    for value in (None, 0.5, 0):
+def test_verdict_gaps_are_numbers(schema_validator, field):
+    # the three fields appear only in the record of a boundary hit, where each is defined
+    for value in (0.5, 0):
         schema_validator("geodesic_verdict", _verdict_with(field, value))
-    for value in ("0.5", True, [0.5]):
+    for value in (None, "0.5", True, [0.5]):
         with pytest.raises(ValidationError):
             schema_validator("geodesic_verdict", _verdict_with(field, value))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda p: p["verdicts"].update(lightlike=p["verdicts"]["timelike"]),
+        lambda p: p["verdicts"].clear(),
+        lambda p: p["verdicts"]["timelike"].update(count=0),
+        lambda p: p["verdicts"]["timelike"].update(details=[]),
+    ],
+    ids=["unknown-family", "empty-verdicts", "count-0", "empty-details"],
+)
+def test_no_verdict_rests_on_nothing(schema_validator, spoil):
+    payload = _verdict_with("transverse_fit_gap", 0.0)
+    schema_validator("geodesic_verdict", payload)
+    spoil(payload)
+    with pytest.raises(ValidationError):
+        schema_validator("geodesic_verdict", payload)
