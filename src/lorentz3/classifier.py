@@ -1,4 +1,5 @@
-"""Decision procedure: from a derivation to the full space report.
+"""Decision procedure: from a derivation to the space report, the
+``classify`` JSON payload itself (a plain dict).
 
 The decision tree is exact rational arithmetic throughout:
 
@@ -13,11 +14,15 @@ The decision tree is exact rational arithmetic throughout:
 
 A quotient action that is a homothety (including zero) admits no invariant
 Lorentz metric for any isotropy choice and is rejected.
+
+The space report is the ``classify`` payload itself: :func:`report_from_class`
+returns the fields the class decides, :func:`space_report` adds those that
+need the derivation.  :func:`brinkmann_chart` is the one class -> chart lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -116,115 +121,65 @@ def classify(a: Derivation) -> SpaceClass:
 
 
 def groups_isomorphic(a1: Derivation, a2: Derivation) -> bool:
-    """Isomorphism of the two extension groups.
-
-    Non-unimodular pairs are isomorphic exactly when their b invariants
-    agree; unimodular pairs exactly when they land in the same symmetric
-    class; mixed pairs never are.
-    """
-    c1 = classify(a1)
-    c2 = classify(a2)
-    u1 = c1.tag in UNIMODULAR_TAGS
-    u2 = c2.tag in UNIMODULAR_TAGS
-    if u1 != u2:
-        return False
-    if u1:
-        return c1.tag == c2.tag
-    return c1.b == c2.b
+    """Isomorphism of the two extension groups: non-unimodular pairs are
+    isomorphic exactly when their b invariants agree, unimodular pairs
+    exactly when they land in the same symmetric class, and mixed pairs
+    never are.  A class is its tag and b, so that is class equality."""
+    return classify(a1) == classify(a2)
 
 
 # ---------------------------------------------------------------------------
 # Space report
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SpaceReport:
-    """Class, exact b, flags, Brinkmann chart and invariant metric; the
-    paper's result behind each field is stated once, as the ``description``
-    of its property in ``schemas/space_report.schema.json``."""
-
-    space_class: SpaceClass
-    symmetric: bool
-    locally_symmetric: bool
-    flat: bool
-    complete: bool
-    compact_model: bool
-    transverse_3d_group: bool
-    brinkmann_chart: Union[PowerLaw, Constant]
-    normalization: dict = field(default_factory=dict)
-    invariant_metric: Optional[dict] = None
-
-    @property
-    def b(self) -> Optional[Fraction]:
-        return self.space_class.b
-
-    def to_json(self) -> dict:
-        chart = self.brinkmann_chart
-        if isinstance(chart, PowerLaw):
-            chart_json = {"form": "power-law", "b": chart.b}
-        else:
-            chart_json = {"form": "constant", "h": chart.h_value}
-        out = {
-            "class": self.space_class.tag,
-            "b": None if self.b is None else str(self.b),
-            "flags": {
-                "symmetric": self.symmetric,
-                "locally_symmetric": self.locally_symmetric,
-                "flat": self.flat,
-                "complete": self.complete,
-                "compact_model": self.compact_model,
-                "transverse_3d_group": self.transverse_3d_group,
-            },
-            "brinkmann_chart": chart_json,
-            "normalization": self.normalization,
-        }
-        if self.invariant_metric is not None:
-            out["invariant_metric"] = self.invariant_metric
-        return out
+_SYMMETRIC_PROFILE = {MINKOWSKI_FLAT: 0.0, CW_HYPERBOLIC: 1.0, CW_ELLIPTIC: -1.0}
 
 
-def report_from_class(
-    cls: SpaceClass,
-    normalization: Optional[dict] = None,
-    invariant_metric: Optional[dict] = None,
-) -> SpaceReport:
+def brinkmann_chart(cls: SpaceClass) -> Union[PowerLaw, Constant]:
+    """The global Brinkmann chart of a class: profile b/u^2 on u > 0, or the
+    constant profile 0, 1 or -1 of a symmetric model.  The report prints it
+    and the curvature and geodesic commands compute on it."""
+    if cls.b is not None:
+        return PowerLaw(float(cls.b))
+    return Constant(_SYMMETRIC_PROFILE[cls.tag])
+
+
+def report_from_class(cls: SpaceClass, rationalized_input: bool = False) -> dict:
+    """The ``classify`` payload (``space_report.schema.json``) without what
+    needs a derivation.  The paper's result behind each field is stated
+    once, as the ``description`` of its property in the schema."""
     symmetric = cls.tag in UNIMODULAR_TAGS
     flat = cls.tag in (MINKOWSKI_FLAT, HALF_MINKOWSKI_FLAT)
-    chart: Union[PowerLaw, Constant]
-    if cls.tag == MINKOWSKI_FLAT:
-        chart = Constant(0.0)
-    elif cls.tag == CW_HYPERBOLIC:
-        chart = Constant(1.0)
-    elif cls.tag == CW_ELLIPTIC:
-        chart = Constant(-1.0)
-    else:
-        chart = PowerLaw(float(cls.b))
-    return SpaceReport(
-        space_class=cls,
-        symmetric=symmetric,
-        locally_symmetric=symmetric or flat,
-        flat=flat,
-        complete=symmetric,
-        compact_model=cls.tag == MINKOWSKI_FLAT or cls.b == 2,
-        transverse_3d_group=cls.tag not in (NONUNI_ELLIPTIC, CW_ELLIPTIC),
-        brinkmann_chart=chart,
-        normalization=normalization or {},
-        invariant_metric=invariant_metric,
-    )
+    chart = brinkmann_chart(cls)
+    return {
+        "class": cls.tag,
+        "b": None if cls.b is None else str(cls.b),
+        "flags": {
+            "symmetric": symmetric,
+            "locally_symmetric": symmetric or flat,
+            "flat": flat,
+            "complete": symmetric,
+            "compact_model": cls.tag == MINKOWSKI_FLAT or cls.b == 2,
+            "transverse_3d_group": cls.tag not in (NONUNI_ELLIPTIC, CW_ELLIPTIC),
+        },
+        "brinkmann_chart": {"form": "power-law", "b": chart.b}
+        if isinstance(chart, PowerLaw)
+        else {"form": "constant", "h": chart.h_value},
+        "normalization": {"rationalized_input": rationalized_input},
+    }
 
 
-def space_report(a: Derivation, rationalized_input: bool = False) -> SpaceReport:
-    """Classify a derivation and assemble the full report, including the
-    constructed invariant metric for a standard isotropy choice."""
+def space_report(a: Derivation, rationalized_input: bool = False) -> dict:
+    """The full ``classify`` payload of a derivation: :func:`report_from_class`
+    plus the normalization ``scale`` and ``time_reversed`` of a non-unimodular
+    input and the invariant metric for a standard isotropy choice."""
     cls = classify(a)
-    normalization = {"rationalized_input": rationalized_input}
+    report = report_from_class(cls, rationalized_input)
     if cls.tag not in UNIMODULAR_TAGS:
-        canonical = normalize_to_canonical(a)
-        normalization["scale"] = str(canonical.scale)
-        normalization["time_reversed"] = canonical.scale < 0
+        scale = normalize_to_canonical(a).scale
+        report["normalization"].update(scale=str(scale), time_reversed=scale < 0)
     w = standard_isotropy_for(a)
-    metric = build_invariant_metric(a, w)
-    metric_json = metric.to_report()
-    metric_json["isotropy_generator"] = [str(c) for c in w.heis_coefficients]
-    return report_from_class(cls, normalization=normalization, invariant_metric=metric_json)
+    metric = build_invariant_metric(a, w).to_report()
+    metric["isotropy_generator"] = [str(c) for c in w.heis_coefficients]
+    report["invariant_metric"] = metric
+    return report

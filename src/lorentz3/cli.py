@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import SpaceClass, class_from_b, report_from_class, space_report
+from .classifier import SpaceClass, brinkmann_chart, class_from_b, classify, report_from_class, space_report
 from .geometry import (
     RosenChart,
     boost_field,
@@ -87,6 +87,7 @@ _PRECONDITIONS = {
         "on Constant charts, (sqrt|1+4b|/2) ln(u_max/u_min) on PowerLaw charts"
     ),
     "SolutionLeftFloatRange": "the solution stays within float range until the end of the span or until u reaches u_min",
+    "EvidenceGapTooLarge": "every sample agrees with its exact affine law and closed-form transverse solution",
     "ZeroDivisionError": "input data is non-degenerate",
     "OverflowError": "every number is finite and fits in a float",
     "OutputNotWritable": "--out names a file that can be written",
@@ -281,29 +282,32 @@ def _add_source_flags(sub, include_alpha=True):
     )
 
 
-def _resolve_report(args):
+def _resolve_report(args) -> dict:
     if args.derivation is not None:
         d, rationalized = _parse_derivation(args.derivation)
         return space_report(d, rationalized_input=rationalized)
+    if args.klass is not None:
+        return report_from_class(_CLASS_NAMES[args.klass])
     if args.b is not None:
         b, rationalized = _parse_b(args.b, "--b")
-        return report_from_class(
-            class_from_b(b), normalization={"rationalized_input": rationalized}
-        )
-    if getattr(args, "alpha", None) is not None:
+    else:
         alpha, rationalized = _parse_alpha(args.alpha)
-        return report_from_class(
-            class_from_b(alpha * alpha - alpha),
-            normalization={"rationalized_input": rationalized},
-        )
-    return report_from_class(_CLASS_NAMES[args.klass])
+        b = alpha * alpha - alpha
+    return report_from_class(class_from_b(b), rationalized_input=rationalized)
 
 
 def _resolve_chart(args):
+    """The chart of the input source; a derivation is classified, not reported on."""
     if getattr(args, "alpha", None) is not None:  # geodesic has no --alpha
         alpha, _ = _parse_alpha(args.alpha)
         return RosenChart(float(alpha))
-    return _resolve_report(args).brinkmann_chart
+    if args.derivation is not None:
+        cls = classify(_parse_derivation(args.derivation)[0])
+    elif args.klass is not None:
+        cls = _CLASS_NAMES[args.klass]
+    else:
+        cls = class_from_b(_parse_b(args.b, "--b")[0])
+    return brinkmann_chart(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +316,7 @@ def _resolve_chart(args):
 
 
 def _cmd_classify(args, parser) -> int:
-    report = _resolve_report(args)
-    _emit_json(report.to_json(), args.out)
+    _emit_json(_resolve_report(args), args.out)
     return 0
 
 
@@ -423,7 +426,7 @@ def _cmd_survey(args, parser) -> int:
             values.append(q)
     entries = []
     for b in values:
-        report = report_from_class(class_from_b(b)).to_json()
+        report = report_from_class(class_from_b(b))
         entries.append({"b": str(b), "class": report["class"], **report["flags"]})
     if args.json:
         _emit_json({"entries": entries}, args.out)

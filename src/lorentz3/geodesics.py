@@ -22,7 +22,8 @@ failure; the verdict record of each hit cross-checks it against the exact
 affine time (u_min - u0) / du0, computed there, and against the fitted
 closed-form transverse solution.
 A failed integration yields no verdict and no trajectory: it raises
-:class:`SolutionLeftFloatRange`.  The work of one integration grows with
+:class:`SolutionLeftFloatRange`; a record over one of ``GAP_BOUNDS`` raises
+:class:`EvidenceGapTooLarge`.  The work of one integration grows with
 the phase of its transverse solution, so a run whose phase exceeds
 ``MAX_PHASE`` is refused before it starts (:class:`TransversePhaseTooLarge`).
 
@@ -52,6 +53,14 @@ DEFAULT_HORIZON = 1e4
 # range for order-one data on a hyperbolic profile.  The geodesic runs of
 # verify and the benchmark stay below 80.
 MAX_PHASE = 300.0
+# Bounds on the cross-checks in a verdict record: a boundary hit's gap from
+# the exact affine time, and the sup relative gaps of the sampled x from the
+# fitted Euler solution and from the Constant-chart closed form.
+GAP_BOUNDS = {
+    "affine_prediction_gap": 1e-5,
+    "transverse_fit_gap": 1e-6,
+    "integrator_vs_closed_form_sup_rel_gap": 1e-6,
+}
 
 
 class TransversePhaseTooLarge(ValueError):
@@ -62,6 +71,12 @@ class TransversePhaseTooLarge(ValueError):
 class SolutionLeftFloatRange(ValueError):
     """The solver's step size fell below float spacing before the end of
     the span or before u reached u_min: the solution left float range."""
+
+
+class EvidenceGapTooLarge(ValueError):
+    """A sample's integration disagrees with its exact affine law or its
+    closed-form transverse solution by more than the gap's bound, so the
+    family's records are no evidence for a verdict."""
 
 
 @dataclass(frozen=True)
@@ -417,7 +432,15 @@ def _constant_sample(chart: Constant, st: GeodesicState):
 
 def _verdict(chart: PowerLaw | Constant, family: str, details: list[dict]) -> tuple[str, str]:
     """The family's verdict (complete, incomplete, mixed or
-    unstated-in-paper) and its evidence, from the sample records."""
+    unstated-in-paper) and its evidence, from the sample records.  A record
+    with a cross-check gap over its bound raises EvidenceGapTooLarge."""
+    for k, rec in enumerate(details):
+        for key, bound in GAP_BOUNDS.items():
+            if key in rec and not rec[key] <= bound:
+                raise EvidenceGapTooLarge(
+                    f"{family} sample {k} (initial {rec['initial']}): {key} = {rec[key]:.3g} "
+                    f"exceeds its bound {bound:g}, so no verdict is given"
+                )
     if family == "spacelike":
         return "unstated-in-paper", "no classification is asserted for spacelike geodesics"
     if isinstance(chart, Constant):

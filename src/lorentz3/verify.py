@@ -390,8 +390,8 @@ def _compact_models():
     problems = []
     for label, rep in reports.items():
         want = label in expected_true
-        if rep.compact_model != want:
-            problems.append(f"{label}: compact_model={rep.compact_model}, expected {want}")
+        if rep["flags"]["compact_model"] != want:
+            problems.append(f"{label}: compact_model={rep['flags']['compact_model']}, expected {want}")
     if problems:
         return False, "; ".join(problems)
     return True, "compact_model true exactly for the flat Minkowski model and b = 2 (SOL)"
@@ -425,11 +425,14 @@ def _classification_invariance():
         Derivation.rosen_exponent(-1),
     ]
     problems = []
+    normalized = []  # the non-unimodular scalings and conjugations
     for a in bases:
         cls = classify(a)
         for lam in (Fraction(-3), Fraction(1, 2), Fraction(7)):
             if classify(a.scaled(lam)) != cls:
                 problems.append(f"{cls}: classify changed under scaling by {lam}")
+            if cls.b is not None:
+                normalized.append(a.scaled(lam))
     count = 0
     while count < 50:
         a = bases[count % len(bases)]
@@ -438,9 +441,16 @@ def _classification_invariance():
         conj = conjugate_derivation(a, phi)
         if classify(conj) != cls:
             problems.append(f"{cls}: classify changed under conjugation {count}")
-        if cls.b is not None and invariant_b(conj) != cls.b:
-            problems.append(f"{cls}: b changed under conjugation {count}")
+        if cls.b is not None:
+            if invariant_b(conj) != cls.b:
+                problems.append(f"{cls}: b changed under conjugation {count}")
+            normalized.append(conj)
         count += 1
+    for a in normalized:  # the recorded scale is the lambda with lambda * tr(A-bar) = 1
+        norm = space_report(a)["normalization"]
+        scale = Fraction(norm["scale"])
+        if scale * a.trace_quotient != 1 or norm["time_reversed"] != (scale < 0):
+            problems.append(f"{classify(a)}: recorded scale in {norm} for tr(A-bar) = {a.trace_quotient}")
     if problems:
         return False, "; ".join(problems[:5])
     return True, "classify and b exactly invariant under scalings {-3, 1/2, 7} and 50 random automorphism conjugations"
@@ -649,18 +659,20 @@ def _flags_vs_geometry():
         Derivation.elliptic(1),
     ):
         rep = space_report(a)
-        chart = rep.brinkmann_chart
-        if rep.flat != is_flat(chart):
-            problems.append(f"{rep.space_class}: flat flag vs chart curvature")
+        flags, label, printed = rep["flags"], rep["class"], rep["brinkmann_chart"]
+        # the chart the report prints, not the one the classifier looked up
+        chart = PowerLaw(printed["b"]) if printed["form"] == "power-law" else Constant(printed["h"])
+        if flags["flat"] != is_flat(chart):
+            problems.append(f"{label}: flat flag vs chart curvature")
         nr = max(
             float(np.max(np.abs(nabla_riemann(chart, p, d))))
             for p in default_grid(shape=(3, 2, 3))
             for d in ("u", "v", "x")
         )
-        if rep.locally_symmetric != (nr <= 1e-5):
-            problems.append(f"{rep.space_class}: locally_symmetric flag vs del R = {nr:.2e}")
-        if rep.transverse_3d_group != has_transverse_subalgebra(a):
-            problems.append(f"{rep.space_class}: transverse_3d_group flag vs quotient spectrum")
+        if flags["locally_symmetric"] != (nr <= 1e-5):
+            problems.append(f"{label}: locally_symmetric flag vs del R = {nr:.2e}")
+        if flags["transverse_3d_group"] != has_transverse_subalgebra(a):
+            problems.append(f"{label}: transverse_3d_group flag vs quotient spectrum")
     if problems:
         return False, "; ".join(problems)
     return True, (

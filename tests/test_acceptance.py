@@ -4,8 +4,11 @@ one PASS/FAIL line (visible with ``pytest -s`` or in failure reports).
 Each registered check runs inside its own test, so collection is cheap and
 ``--durations`` attributes time to each check."""
 
+import dataclasses
+
 import pytest
 
+from lorentz3 import classifier
 from lorentz3.verify import check_names, run_check
 
 _ACCEPTANCE = sorted(n for n in check_names() if n.startswith("acceptance-"))
@@ -30,3 +33,16 @@ def test_module_invariant(name):
 
 def test_every_acceptance_criterion_is_present():
     assert len(_ACCEPTANCE) == 10
+
+
+def test_a_doubled_normalization_scale_fails_acceptance_09(monkeypatch):
+    real = classifier.normalize_to_canonical
+
+    def doubled(a):
+        canonical = real(a)
+        return dataclasses.replace(canonical, scale=2 * canonical.scale)
+
+    monkeypatch.setattr(classifier, "normalize_to_canonical", doubled)
+    result = run_check("acceptance-09-classification-invariance")
+    assert not result.passed
+    assert "recorded scale" in result.detail

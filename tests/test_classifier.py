@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lorentz3.classifier import (
     SpaceClass,
+    brinkmann_chart,
     class_from_b,
     classify,
     groups_isomorphic,
@@ -166,31 +167,32 @@ class TestGroupsIsomorphic:
 class TestSpaceReport:
     def test_sol_case(self):
         rep = space_report(Derivation.rosen_exponent(-1))
-        assert rep.b == 2
-        assert rep.compact_model
-        assert isinstance(rep.brinkmann_chart, PowerLaw)
-        assert rep.brinkmann_chart.b == 2.0
+        assert rep["b"] == "2"
+        assert rep["flags"]["compact_model"]
+        assert rep["brinkmann_chart"] == {"form": "power-law", "b": 2.0}
+        assert isinstance(rep["brinkmann_chart"]["b"], float)
 
     def test_elliptic_case(self):
-        rep = space_report(Derivation.elliptic(1))
-        assert not rep.transverse_3d_group
-        assert not rep.locally_symmetric
-        assert not rep.compact_model
+        flags = space_report(Derivation.elliptic(1))["flags"]
+        assert not flags["transverse_3d_group"]
+        assert not flags["locally_symmetric"]
+        assert not flags["compact_model"]
 
     def test_symmetric_elliptic_model(self):
         rep = space_report(Derivation.cw_elliptic())
-        assert rep.symmetric and rep.complete
-        assert not rep.compact_model
-        assert not rep.transverse_3d_group
-        assert rep.brinkmann_chart == Constant(-1.0)
+        flags = rep["flags"]
+        assert flags["symmetric"] and flags["complete"]
+        assert not flags["compact_model"]
+        assert not flags["transverse_3d_group"]
+        assert rep["brinkmann_chart"] == {"form": "constant", "h": -1.0}
 
     def test_flat_models(self):
         mink = space_report(Derivation.nilpotent())
-        assert mink.flat and mink.complete and mink.compact_model
-        assert mink.brinkmann_chart == Constant(0.0)
-        half = space_report(Derivation.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
-        assert half.flat and not half.complete and not half.compact_model
-        assert half.locally_symmetric
+        assert mink["flags"]["flat"] and mink["flags"]["complete"] and mink["flags"]["compact_model"]
+        assert mink["brinkmann_chart"] == {"form": "constant", "h": 0.0}
+        half = space_report(Derivation.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))["flags"]
+        assert half["flat"] and not half["complete"] and not half["compact_model"]
+        assert half["locally_symmetric"]
 
     def test_flag_implications_hold_for_every_class(self):
         classes = [
@@ -204,21 +206,35 @@ class TestSpaceReport:
             class_from_b(Fraction(-1, 2)),
         ]
         for cls in classes:
-            rep = report_from_class(cls)
-            assert not rep.flat or rep.locally_symmetric
-            assert not rep.symmetric or rep.locally_symmetric
-            assert rep.complete == rep.symmetric
+            flags = report_from_class(cls)["flags"]
+            assert not flags["flat"] or flags["locally_symmetric"]
+            assert not flags["symmetric"] or flags["locally_symmetric"]
+            assert flags["complete"] == flags["symmetric"]
+
+    def test_every_source_records_whether_it_was_rationalized(self):
+        assert report_from_class(SpaceClass("CahenWallachElliptic"))["normalization"] == {"rationalized_input": False}
+        assert report_from_class(class_from_b(2), rationalized_input=True)["normalization"] == {
+            "rationalized_input": True
+        }
+
+    def test_brinkmann_chart_of_each_class(self):
+        assert brinkmann_chart(SpaceClass("MinkowskiFlat")) == Constant(0.0)
+        assert brinkmann_chart(SpaceClass("CahenWallachHyperbolic")) == Constant(1.0)
+        assert brinkmann_chart(SpaceClass("CahenWallachElliptic")) == Constant(-1.0)
+        for b in (0, 2, Fraction(-1, 4), Fraction(-7, 3)):
+            chart = brinkmann_chart(class_from_b(b))
+            assert isinstance(chart, PowerLaw) and chart.b == float(b)
 
     def test_normalization_records_scale_sign(self):
         rep = space_report(Derivation.canonical(2).scaled(-1))
-        assert rep.normalization["time_reversed"] is True
-        assert rep.normalization["scale"] == "-1"
+        assert rep["normalization"]["time_reversed"] is True
+        assert rep["normalization"]["scale"] == "-1"
 
     def test_report_embeds_the_invariant_metric(self):
         rep = space_report(Derivation.parabolic())
-        gram = rep.invariant_metric["gram"]
+        gram = rep["invariant_metric"]["gram"]
         assert gram[0][2] == "-1"
-        assert rep.invariant_metric["signature"] == {"plus": 2, "minus": 1, "zero": 0}
+        assert rep["invariant_metric"]["signature"] == {"plus": 2, "minus": 1, "zero": 0}
 
     @given(non_homothety_derivations, automorphisms, automorphisms)
     @settings(max_examples=60, deadline=None)
@@ -228,7 +244,7 @@ class TestSpaceReport:
         a = conjugate_derivation(a, compose_automorphisms(phi, psi))
         rep = space_report(a)
         assert jacobi_residual(extend_algebra(a)) == 0
-        metric = rep.invariant_metric
+        metric = rep["invariant_metric"]
         w = IsotropyChoice.of(*metric["isotropy_generator"])
         assert twist_coefficient(a, w) != 0
         assert _nilpotency_order_mod_w(a, w) == 3
@@ -237,10 +253,12 @@ class TestSpaceReport:
             yprime=tuple(Fraction(c) for c in metric["yprime_in_heis"]),
         )
         assert skew_residual(built, ad_w_matrix_on_m(a, w)) == 0
-        assert rep.transverse_3d_group == has_transverse_subalgebra(a)
+        # the report prints (2, 1, 0) as a literal; the reduction runs here
+        assert built.signature() == (2, 1, 0)
+        assert rep["flags"]["transverse_3d_group"] == has_transverse_subalgebra(a)
 
     def test_json_round_trip_fields(self):
-        payload = space_report(Derivation.canonical(Fraction(-1, 2))).to_json()
+        payload = space_report(Derivation.canonical(Fraction(-1, 2)))
         assert payload["class"] == "NonUnimodularElliptic"
         assert payload["b"] == "-1/2"
         assert payload["flags"]["transverse_3d_group"] is False

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lorentz3 import cli
 from lorentz3.cli import main
+from lorentz3.lie_core import Derivation
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +233,63 @@ class TestClassify:
         _, first = run_cli(capsys, "classify", "--b", "-1/2")
         _, second = run_cli(capsys, "classify", "--b", "-1/2")
         assert first == second
+
+
+def _derivation_json(d) -> str:
+    return json.dumps(d.to_json())
+
+
+# class -> (a derivation of it, rescaled, and its other sources)
+_SOURCES_OF_EACH_CLASS = {
+    "MinkowskiFlat": (Derivation.nilpotent().scaled(3), [("--class", "MinkowskiFlat")]),
+    "HalfMinkowskiFlat": (
+        Derivation.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]).scaled(-2),
+        [("--b", "0"), ("--alpha", "1"), ("--class", "HalfMinkowskiFlat")],
+    ),
+    "CahenWallachHyperbolic": (
+        Derivation.cw_hyperbolic().scaled(Fraction(1, 2)),
+        [("--class", "CahenWallachHyperbolic")],
+    ),
+    "CahenWallachElliptic": (Derivation.cw_elliptic().scaled(5), [("--class", "CahenWallachElliptic")]),
+    "NonUnimodularHyperbolic": (Derivation.canonical(2).scaled(-3), [("--b", "2"), ("--alpha", "-1")]),
+    # no real alpha has alpha^2 - alpha < -1/4
+    "NonUnimodularElliptic": (Derivation.canonical(Fraction(-7, 3)).scaled(2), [("--b", "-7/3")]),
+    "NonUnimodularParabolic": (
+        Derivation.canonical(Fraction(-1, 4)).scaled(Fraction(1, 3)),
+        [("--b", "-1/4"), ("--alpha", "1/2")],
+    ),
+}
+
+
+class TestInputSourcesAgree:
+    @pytest.mark.parametrize("klass", sorted(_SOURCES_OF_EACH_CLASS))
+    def test_classify_agrees_on_every_source(self, capsys, schema_validator, klass):
+        d, others = _SOURCES_OF_EACH_CLASS[klass]
+        reports = []
+        for source in [("--derivation", _derivation_json(d)), *others]:
+            code, out = run_cli(capsys, "classify", *source)
+            assert code == 0, source
+            payload = json.loads(out)
+            schema_validator("space_report", payload)
+            assert payload["normalization"]["rationalized_input"] is False, source
+            reports.append({k: payload[k] for k in ("class", "b", "flags", "brinkmann_chart")})
+        assert reports[0]["class"] == klass
+        assert all(rep == reports[0] for rep in reports), reports
+
+    @pytest.mark.parametrize("klass", sorted(_SOURCES_OF_EACH_CLASS))
+    def test_chart_commands_print_the_same_for_a_derivation(self, capsys, klass):
+        # curvature and geodesic look the chart up from the class alone
+        d, others = _SOURCES_OF_EACH_CLASS[klass]
+        chart_source = next(s for s in others if s[0] != "--alpha")
+        for command in (
+            ("curvature", "--grid", "2,1,2:0.5..1.5,0..0,-1..1"),
+            ("curvature", "--point", "1,0.5,-0.5"),
+            ("geodesic", "--init", "1,0,0.5,0.5,0,0.2", "--span", "2"),
+        ):
+            via_class = run_cli(capsys, command[0], *chart_source, *command[1:])
+            via_derivation = run_cli(capsys, command[0], "--derivation", _derivation_json(d), *command[1:])
+            assert via_class[0] == 0, command
+            assert via_derivation == via_class, command
 
 
 class TestCurvature:

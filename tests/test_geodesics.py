@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz3 import geodesics as geo
+from lorentz3.cli import main
 from lorentz3.geometry import Constant, DomainError, PowerLaw
 
 NULL_BAND = 1e-12
@@ -317,6 +320,37 @@ class TestCompleteness:
         monkeypatch.setattr(geo, "sample_initial_conditions", lambda *args: [huge])
         with pytest.raises(geo.SolutionLeftFloatRange):
             geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=1)
+
+    def test_closed_form_disagreement_gives_no_verdict(self, monkeypatch, capsys, schema_validator):
+        # with x = 0 for a closed form the verdict once read complete, on
+        # gaps of 8.3e30 and 4.0e20
+        monkeypatch.setattr(geo, "constant_chart_transverse", lambda chart, st: lambda t: 0.0)
+        with pytest.raises(geo.EvidenceGapTooLarge, match=r"timelike sample 0 .* integrator_vs_closed_form_sup_rel_gap"):
+            geo.completeness_report(Constant(1.0), ("timelike",), 2, seed=1)
+        argv = ["geodesic", "--class", "CahenWallachHyperbolic", "--family", "timelike", "--count", "2", "--seed", "1"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        schema_validator("error", payload)
+        assert payload["error"]["type"] == "EvidenceGapTooLarge"
+        assert "closed-form transverse solution" in payload["error"]["precondition"]
+
+    def test_fit_disagreement_gives_no_verdict(self, monkeypatch):
+        monkeypatch.setattr(geo, "transverse_profile_in_u", lambda chart, st: lambda u: 0.0)
+        with pytest.raises(geo.EvidenceGapTooLarge, match=r"timelike sample 0 .* transverse_fit_gap"):
+            geo.completeness_report(PowerLaw(2.0), ("timelike",), 2, seed=1)
+
+    def test_affine_disagreement_gives_no_verdict(self, monkeypatch):
+        real = geo.integrate_geodesic
+
+        def late_boundary(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if res.boundary_time is None:
+                return res
+            return dataclasses.replace(res, boundary_time=res.boundary_time + 1e-3)
+
+        monkeypatch.setattr(geo, "integrate_geodesic", late_boundary)
+        with pytest.raises(geo.EvidenceGapTooLarge, match=r"null sample 0 .* affine_prediction_gap"):
+            geo.completeness_report(PowerLaw(2.0), ("null",), 2, seed=1)
 
     def test_report_is_seed_deterministic(self):
         a = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)

@@ -8,6 +8,7 @@ from jsonschema import Draft202012Validator, ValidationError
 import lorentz3
 from lorentz3.classifier import space_report
 from lorentz3.lie_core import Derivation
+from lorentz3.verify import check_names
 
 SCHEMA_DIR = Path(lorentz3.__file__).parent / "schemas"
 
@@ -24,7 +25,7 @@ def test_every_shipped_schema_is_valid_and_self_contained():
 @pytest.fixture
 def report():
     # built from a derivation, so the report carries its invariant metric
-    return space_report(Derivation.parabolic()).to_json()
+    return space_report(Derivation.parabolic())
 
 
 def test_invariant_metric_rejects_an_extra_key_and_a_missing_gram(schema_validator, report):
@@ -55,6 +56,32 @@ def test_constant_keys_are_gone_and_refused(schema_validator, report, block, key
     stale[block][key] = value
     with pytest.raises(ValidationError, match="Additional properties"):
         schema_validator("space_report", stale)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda r: r["normalization"].pop("rationalized_input"),
+        lambda r: r["invariant_metric"].pop("isotropy_generator"),
+        lambda r: r["invariant_metric"].update(signature={"plus": 1, "minus": 2, "zero": 0}),
+        lambda r: r["invariant_metric"].update(signature={"plus": 2, "minus": 1}),
+    ],
+    ids=["no-rationalized-input", "no-isotropy-generator", "signature-1-2-0", "signature-without-zero"],
+)
+def test_always_printed_fields_are_required(schema_validator, report, spoil):
+    schema_validator("space_report", report)
+    spoil(report)
+    with pytest.raises(ValidationError):
+        schema_validator("space_report", report)
+
+
+def test_signature_names_the_checks_that_compute_it():
+    schema = json.loads((SCHEMA_DIR / "space_report.schema.json").read_text(encoding="utf-8"))
+    text = schema["properties"]["invariant_metric"]["properties"]["signature"]["description"]
+    assert "acceptance-04-metric-construction" in text and "acceptance-04-metric-construction" in check_names()
+    test_source = (Path(__file__).parent / "test_metric_builder.py").read_text(encoding="utf-8")
+    assert "test_signature_and_skew_on_random_admissible_data" in text
+    assert "def test_signature_and_skew_on_random_admissible_data" in test_source
 
 
 @pytest.mark.parametrize("b, ok", [(None, True), ("-1/4", True), (2, False), (-0.25, False), ("b", False)])
