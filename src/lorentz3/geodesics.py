@@ -5,7 +5,8 @@ The geodesic system in coordinates (u, v, x) has Gamma^u = 0 on every
 chart here, so u is affine-linear along every geodesic.  On a Brinkmann
 chart with u chosen as the parameter the transverse equation is the Euler
 equation  x'' = (b / u^2) x,  whose solution basis is decided by the sign
-of the discriminant 1 + 4b.
+of the discriminant 1 + 4b.  A geodesic state is the six numbers
+(u, v, x, du, dv, dx), passed as any sequence of them.
 
 Every integration uses the explicit Runge-Kutta pair of Dormand and
 Prince of order 8(5,3), scipy's ``DOP853`` (Hairer, Norsett & Wanner,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -79,22 +80,9 @@ class EvidenceGapTooLarge(ValueError):
     family's records are no evidence for a verdict."""
 
 
-@dataclass(frozen=True)
-class GeodesicState:
-    position: tuple[float, float, float]
-    velocity: tuple[float, float, float]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.position) + list(self.velocity), dtype=float)
-
-    @classmethod
-    def of(cls, u, v, x, du, dv, dx) -> "GeodesicState":
-        return cls((float(u), float(v), float(x)), (float(du), float(dv), float(dx)))
-
-
-def velocity_norm_sq(chart: PowerLaw | Constant, state: GeodesicState) -> float:
-    g = metric_at(chart, state.position)
-    vel = np.asarray(state.velocity, dtype=float)
+def velocity_norm_sq(chart: PowerLaw | Constant, state: Sequence[float]) -> float:
+    g = metric_at(chart, state[:3])
+    vel = np.asarray(state[3:], dtype=float)
     return float(vel @ g @ vel)
 
 
@@ -140,12 +128,11 @@ class GeodesicResult:
         drift against, and dv itself carries that error."""
         rows = []
         for t, row in zip(self.times, self.states):
-            st = GeodesicState(tuple(row[:3]), tuple(row[3:]))
-            rows.append([float(t)] + [float(c) for c in row] + [velocity_norm_sq(chart, st)])
+            rows.append([float(t)] + [float(c) for c in row] + [velocity_norm_sq(chart, row)])
         return rows
 
 
-def transverse_phase(chart: PowerLaw | Constant, initial: GeodesicState, span: tuple[float, float]) -> float:
+def transverse_phase(chart: PowerLaw | Constant, initial: Sequence[float], span: tuple[float, float]) -> float:
     """Phase of the transverse solution over the u-range a run can cover.
 
     With u as the parameter, x'' = H(u) du^2 x.  On a Constant chart that
@@ -155,20 +142,20 @@ def transverse_phase(chart: PowerLaw | Constant, initial: GeodesicState, span: t
     DEFAULT_U_MIN.  It counts radians where the solution oscillates and
     e-folds where it grows.
     """
-    du = initial.velocity[0]
+    du = initial[3]
     if du == 0.0:  # u is constant and x linear in t
         return 0.0
     length = span[1] - span[0]
     if isinstance(chart, Constant):
         return math.sqrt(abs(chart.h_value)) * abs(du) * abs(length)
-    u0 = initial.position[0]
+    u0 = initial[0]
     u1 = max(u0 + du * length, DEFAULT_U_MIN)
     return math.sqrt(abs(1.0 + 4.0 * chart.b)) / 2.0 * abs(math.log(u1 / u0))
 
 
 def integrate_geodesic(
     chart: PowerLaw | Constant,
-    initial: GeodesicState,
+    initial: Sequence[float],
     span: tuple[float, float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
@@ -176,28 +163,31 @@ def integrate_geodesic(
 ) -> GeodesicResult:
     """Adaptive DOP853 integration with domain-boundary detection.
 
-    ``span`` may run backwards (t1 < t0) but both ends must be finite and
-    distinct.  On
-    half-space charts the boundary event u = DEFAULT_U_MIN is armed, and the
-    start must lie above it: the event fires only on a crossing.  A run
-    whose :func:`transverse_phase` exceeds MAX_PHASE raises
-    :class:`TransversePhaseTooLarge` before any step; a run the solver
-    cannot finish raises :class:`SolutionLeftFloatRange`.
+    ``initial`` is the state (u, v, x, du, dv, dx); a state of another
+    length raises ValueError.  ``span`` may run backwards (t1 < t0) but both
+    ends must be finite and distinct.  On half-space charts the boundary
+    event u = DEFAULT_U_MIN is armed, and the start must lie above it: the
+    event fires only on a crossing.  A run whose :func:`transverse_phase`
+    exceeds MAX_PHASE raises :class:`TransversePhaseTooLarge` before any
+    step; a run the solver cannot finish raises
+    :class:`SolutionLeftFloatRange`.
     """
+    if len(initial) != 6:
+        raise ValueError(f"the initial state has {len(initial)} entries, not the six u, v, x, du, dv, dx")
+    state = [float(c) for c in initial]
     if not all(math.isfinite(t) for t in span):
         raise ValueError(f"span = {tuple(span)}: both ends must be finite")
     if span[0] == span[1]:
         raise ValueError(f"span = {tuple(span)}: the ends are equal, so the run has no step")
-    check_domain(chart, initial.position)
-    u0 = initial.position[0]
+    check_domain(chart, state[:3])
+    u0 = state[0]
     if chart.half_space and not u0 > DEFAULT_U_MIN:
         raise ValueError(f"u0 = {u0} is not above the boundary level u_min = {DEFAULT_U_MIN}")
-    phase = transverse_phase(chart, initial, span)
+    phase = transverse_phase(chart, state, span)
     if not phase <= MAX_PHASE:
         raise TransversePhaseTooLarge(
             f"transverse phase {phase:.4g} over span {tuple(span)} exceeds the work bound {MAX_PHASE:g}"
         )
-    y0 = initial.as_array()
 
     events = []
     if chart.half_space:
@@ -214,7 +204,7 @@ def integrate_geodesic(
         sol = solve_ivp(
             lambda t, y: geodesic_rhs(chart, y),
             span,
-            y0,
+            np.array(state),
             method="DOP853",
             rtol=rtol,
             atol=atol,
@@ -244,28 +234,20 @@ def integrate_geodesic(
     )
 
 
-def _norm_term_scale(chart: PowerLaw | Constant, state: GeodesicState) -> float:
-    """Magnitude of the individual terms of g(v, v): the honest scale for
-    conservation drift, since near a blow-up the norm is a cancellation of
-    large terms."""
-    g = metric_at(chart, state.position)
-    vel = np.asarray(state.velocity, dtype=float)
-    return float(np.sum(np.abs(np.outer(vel, vel) * g)))
-
-
-def conservation_drift(chart: PowerLaw | Constant, initial: GeodesicState, result: GeodesicResult) -> float:
+def conservation_drift(chart: PowerLaw | Constant, initial: Sequence[float], result: GeodesicResult) -> float:
     """Largest drift of the first integral g(gamma', gamma') from its value
     at ``initial`` over the sampled rows of ``result``, each relative to
-    max(1, |q0|, the row's term scale); rows with u <= 0 on a half-space
-    chart are skipped."""
+    max(1, |q0|, the row's term scale sum |g_ij v^i v^j|): near a blow-up
+    the norm is a cancellation of large terms.  Rows with u <= 0 on a
+    half-space chart are skipped."""
     q0 = velocity_norm_sq(chart, initial)
     drift = 0.0
     for row in result.states:
-        st = GeodesicState(tuple(row[:3]), tuple(row[3:]))
-        if chart.half_space and not st.position[0] > 0:
+        if chart.half_space and not row[0] > 0:
             continue
-        scale = max(1.0, abs(q0), _norm_term_scale(chart, st))
-        drift = max(drift, abs(velocity_norm_sq(chart, st) - q0) / scale)
+        terms = np.outer(row[3:], row[3:]) * metric_at(chart, row[:3])
+        scale = max(1.0, abs(q0), float(np.sum(np.abs(terms))))
+        drift = max(drift, abs(velocity_norm_sq(chart, row) - q0) / scale)
     return drift
 
 
@@ -300,19 +282,17 @@ def euler_basis(b: float, t: float):
     return (root * cos, root * sin), ((0.5 * cos - w * sin) / root, (0.5 * sin + w * cos) / root)
 
 
-def transverse_profile_in_u(chart: PowerLaw, initial: GeodesicState):
+def transverse_profile_in_u(chart: PowerLaw, initial: Sequence[float]):
     """Fitted x as a function of u along a geodesic with du/dt != 0.
 
     Since u is affine, x satisfies the Euler equation in the u variable with
     slope dx/du = (dx/dt) / (du/dt) at u0; x is the combination c0 f0 + c1 f1
     of :func:`euler_basis` that matches x and that slope at u0.
     """
-    du0 = initial.velocity[0]
+    u0, _, x0, du0, _, dx0 = initial
     if du0 == 0.0:
         raise ValueError("horizontal geodesic: u is constant")
-    u0 = initial.position[0]
-    x0 = initial.position[2]
-    slope = initial.velocity[2] / du0
+    slope = dx0 / du0
     c = np.linalg.solve(np.array(euler_basis(chart.b, u0)), np.array([x0, slope]))
 
     def x_of_u(u, _c=c, _b=chart.b):
@@ -327,12 +307,10 @@ def transverse_profile_in_u(chart: PowerLaw, initial: GeodesicState):
 # ---------------------------------------------------------------------------
 
 
-def constant_chart_transverse(chart: Constant, initial: GeodesicState):
+def constant_chart_transverse(chart: Constant, initial: Sequence[float]):
     """Exact global x(t) on a Constant chart: x'' = h * du0^2 * x."""
     h = chart.h_value
-    du0 = initial.velocity[0]
-    x0 = initial.position[2]
-    dx0 = initial.velocity[2]
+    _, _, x0, du0, _, dx0 = initial
     k = h * du0 * du0
     if k == 0.0:
         return lambda t: x0 + dx0 * t
@@ -352,7 +330,7 @@ FAMILIES = ("timelike", "null", "dv_orbit", "spacelike")
 
 def sample_initial_conditions(
     chart: PowerLaw | Constant, family: str, count: int, rng: np.random.Generator
-) -> list[GeodesicState]:
+) -> list[tuple[float, ...]]:
     """Seeded initial conditions with the requested causal character.
 
     For families with du != 0 the v-velocity is solved from the target norm
@@ -365,19 +343,19 @@ def sample_initial_conditions(
         v0 = float(rng.uniform(-1.0, 1.0))
         x0 = float(rng.uniform(-1.0, 1.0))
         if family == "dv_orbit":
-            states.append(GeodesicState.of(u0, v0, x0, 0.0, 1.0, 0.0))
+            states.append((u0, v0, x0, 0.0, 1.0, 0.0))
             continue
         sign = 1.0 if k % 2 == 0 else -1.0
         du = sign * float(rng.uniform(0.3, 1.5))
         dx = float(rng.uniform(-1.0, 1.0))
         target = {"timelike": -1.0, "null": 0.0, "spacelike": 1.0}[family]
         g = metric_at(chart, (u0, v0, x0))
-        dv = (target - g[0, 0] * du * du - dx * dx) / (2.0 * du)
-        states.append(GeodesicState.of(u0, v0, x0, du, dv, dx))
+        dv = float((target - g[0, 0] * du * du - dx * dx) / (2.0 * du))
+        states.append((u0, v0, x0, du, dv, dx))
     return states
 
 
-def _power_law_sample(chart: PowerLaw, st: GeodesicState):
+def _power_law_sample(chart: PowerLaw, st: Sequence[float]):
     """Integrations of one sample, and the fields its record adds.
 
     The direction in which u decreases goes first: a boundary hit there
@@ -385,14 +363,14 @@ def _power_law_sample(chart: PowerLaw, st: GeodesicState):
     run that fails raises, so a sample without a hit completed the span
     both ways.
     """
-    du0 = st.velocity[0]
+    du0 = st[3]
     runs = []
     for direction in (-1.0, +1.0) if du0 > 0 else (+1.0, -1.0):
         res = integrate_geodesic(chart, st, (0.0, direction * DEFAULT_HORIZON))
         runs.append(res)
         if res.terminated == "hit_domain_boundary":
             # a hit needs du0 != 0, and u(t) = u0 + du0 t is exact
-            predicted = (DEFAULT_U_MIN - st.position[0]) / du0
+            predicted = (DEFAULT_U_MIN - st[0]) / du0
             return runs, {
                 "direction": "forward" if direction > 0 else "backward",
                 "boundary_affine_time": res.boundary_time,
@@ -403,7 +381,7 @@ def _power_law_sample(chart: PowerLaw, st: GeodesicState):
     return runs, {}
 
 
-def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicResult) -> float:
+def _transverse_fit_gap(chart: PowerLaw, initial: Sequence[float], res: GeodesicResult) -> float:
     """Sup relative gap between sampled x and the fitted Euler solution x(u);
     relative because x blows up like a negative power of u at the boundary."""
     x_of_u = transverse_profile_in_u(chart, initial)
@@ -417,7 +395,7 @@ def _transverse_fit_gap(chart: PowerLaw, initial: GeodesicState, res: GeodesicRe
     return gap
 
 
-def _constant_sample(chart: Constant, st: GeodesicState):
+def _constant_sample(chart: Constant, st: Sequence[float]):
     """Constant profiles have no domain boundary and a linear geodesic
     system, so every solution is global; the closed form is evaluated
     directly and spot-checked against the integrator on a short span."""
@@ -493,7 +471,7 @@ def completeness_report(
         for st in sample_initial_conditions(chart, family, count, rng):
             runs, fields = sample(chart, st)
             details.append({
-                "initial": list(st.position) + list(st.velocity),
+                "initial": list(st),
                 "nfev": sum(res.nfev for res in runs),
                 "nsteps": sum(len(res.times) - 1 for res in runs),
                 **fields,
@@ -508,9 +486,8 @@ def completeness_report(
 # ---------------------------------------------------------------------------
 
 
-def boost_state(s: float, state: GeodesicState) -> GeodesicState:
+def boost_state(s: float, state: Sequence[float]) -> tuple[float, ...]:
     """The boost isometry (u, v, x) -> (e^s u, e^-s v, x) applied to a state."""
     eu = math.exp(s)
-    u, v, x = state.position
-    du, dv, dx = state.velocity
-    return GeodesicState.of(eu * u, v / eu, x, eu * du, dv / eu, dx)
+    u, v, x, du, dv, dx = state
+    return (eu * u, v / eu, x, eu * du, dv / eu, dx)

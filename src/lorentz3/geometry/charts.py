@@ -81,12 +81,17 @@ class RosenChart:
     The profile delta, its derivatives and F, an antiderivative of 1/delta
     needed for the Killing fields, are exact closed forms; F takes the
     logarithmic branch at alpha = 1/2, where the power rule degenerates.
-    The equivalent Brinkmann chart is PowerLaw(alpha^2 - alpha).
+    The equivalent Brinkmann chart is PowerLaw(b), b = alpha^2 - alpha.
     """
 
     alpha: float
 
     half_space = True
+
+    @property
+    def b(self) -> float:
+        """b = alpha^2 - alpha, the invariant of the equivalent Brinkmann chart."""
+        return self.alpha * self.alpha - self.alpha
 
     @property
     def label(self) -> str:

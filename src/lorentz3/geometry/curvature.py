@@ -79,8 +79,7 @@ def brinkmann_profile_value(chart: RosenChart, u: float) -> float:
 def brinkmann_profile_derivative(chart: RosenChart, u: float) -> float:
     """H'(u) of :func:`brinkmann_profile_value`, in closed form: H(u) = b/u^2
     with b = alpha^2 - alpha."""
-    a = chart.alpha
-    return -2.0 * (a * a - a) / u**3
+    return -2.0 * chart.b / u**3
 
 
 _ZERO_R = np.zeros((3, 3, 3, 3))

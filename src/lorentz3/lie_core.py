@@ -426,9 +426,12 @@ def compose_automorphisms(*phis) -> Matrix3:
 class CanonicalForm:
     """Result of normalizing a non-unimodular derivation.
 
-    ``scale`` is the factor lambda with lambda * tr(A-bar) = 1; a negative
-    scale means the one-parameter group was time-reversed to put the central
-    eigenvalue at +1, which is recorded rather than hidden.
+    ``derivation`` is ``Derivation.canonical(b)``, ``b`` is
+    :func:`invariant_b` and ``scale`` is lambda = 1/tr(A-bar), the factor
+    that puts the central eigenvalue of lambda A at +1.  A negative scale
+    reverses the one-parameter group, and the report records it.  No
+    conjugating automorphism is computed: nothing here witnesses that A is
+    conjugate to the canonical form.
     """
 
     derivation: Derivation
@@ -456,8 +459,11 @@ def invariant_b(a: Derivation) -> Fraction:
 
 
 def normalize_to_canonical(a: Derivation) -> CanonicalForm:
-    """Rescale and conjugate a derivation with A(Z) != 0 to the normal form
-    [[1,0,0],[0,0,1],[0,b,1]] with b = :func:`invariant_b`."""
+    """The normal form [[1,0,0],[0,0,1],[0,b,1]] of a derivation with
+    A(Z) != 0, ``canonical(b)`` with b = :func:`invariant_b`, and the scale
+    lambda = 1/tr(A-bar).  Both are read off the invariants; no conjugating
+    automorphism is built.  Raises UnimodularInput when tr(A-bar) = 0 and
+    HomothetyInput when the quotient action is a homothety."""
     b = invariant_b(a)
     if is_homothety_on_quotient(a):
         raise HomothetyInput(

@@ -21,19 +21,19 @@ with ``kappa = alpha * beta' - beta * alpha'`` (primes: components of
 
 all other entries zero.  The Gram matrix built here is the representative
 with scale s = 1 and shift t = 0 (``T -> T + delta Z`` removes t); the
-space-report schema calls these alpha = 1 and beta = 0.  Everything here
-is exact rational arithmetic.
+space-report schema calls these alpha = 1 and beta = 0.  It is
+[[0, 0, 1/kappa], [0, 1, 0], [1/kappa, 0, 0]], whose :func:`signature` is
+(2, 1, 0) for every kappa != 0.  Everything here is exact rational
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import (
     Derivation,
     IsotropyChoice,
-    Vec3,
     _mat_mul,
     # perfbench/layers.py traces this name in this module.
     extend_algebra,
@@ -105,39 +105,9 @@ def admits_metric(a: Derivation, w: IsotropyChoice) -> bool:
     return twist_coefficient(a, w) != 0
 
 
-@dataclass(frozen=True)
-class InvariantMetric:
-    """Invariant Lorentz form on m = span(T, Y', Z), exact rationals.
-
-    ``yprime`` holds the heis coordinates of Y' = A(W).  The Gram matrix is
-    the scale-1 representative with g(T, T) normalized to 0.
-    """
-
-    gram: tuple[tuple[Fraction, ...], ...]
-    yprime: Vec3
-
-    def signature(self) -> tuple[int, int, int]:
-        """(n_plus, n_minus, n_zero) by exact symmetric reduction."""
-        return _inertia(self.gram)
-
-    @property
-    def is_lorentz(self) -> bool:
-        return self.signature() == (2, 1, 0)
-
-    def to_report(self) -> dict:
-        """The space report's ``invariant_metric`` block.  Its signature is the
-        literal (2, 1, 0): every Gram matrix built here is [[0, 0, c], [0, 1, 0],
-        [c, 0, 0]] with c = 1/kappa != 0, a hyperbolic (T, Z) pair and a
-        spacelike Y'.  :meth:`signature` computes it in acceptance-04 and the tests."""
-        return {
-            "yprime_in_heis": [str(c) for c in self.yprime],
-            "gram": [[str(e) for e in row] for row in self.gram],
-            "signature": {"plus": 2, "minus": 1, "zero": 0},
-        }
-
-
-def _inertia(gram) -> tuple[int, int, int]:
-    """Sylvester inertia of a symmetric rational matrix via congruence."""
+def signature(gram) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero), the Sylvester inertia of a symmetric
+    rational matrix, by exact congruence."""
     m = [[Fraction(e) for e in row] for row in gram]
     n = len(m)
     plus = minus = zero = 0
@@ -175,8 +145,9 @@ def _inertia(gram) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
-def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> InvariantMetric:
-    """Construct the normalized invariant metric (scale 1, g(T, T) = 0).
+def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix of the normalized invariant metric (scale 1, g(T, T) = 0)
+    in the basis (T, Y', Z) of m, Y' = A(W).
 
     Raises NoInvariantMetric when the eigenvector criterion fails.
     """
@@ -184,16 +155,13 @@ def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> InvariantMetric:
         raise NoInvariantMetric(
             "the isotropy class is an eigenvector of the quotient action"
         )
-    kappa = twist_coefficient(a, w)
-    yprime = a.apply(w.heis_coefficients)
     zero, one = Fraction(0), Fraction(1)
-    c = one / kappa
-    gram = (
+    c = one / twist_coefficient(a, w)
+    return (
         (zero, zero, c),
         (zero, one, zero),
         (c, zero, zero),
     )
-    return InvariantMetric(gram=gram, yprime=yprime)
 
 
 def ad_w_matrix_on_m(a: Derivation, w: IsotropyChoice):
@@ -207,14 +175,15 @@ def ad_w_matrix_on_m(a: Derivation, w: IsotropyChoice):
     )
 
 
-def skew_residual(metric: InvariantMetric, ad_on_m) -> Fraction:
-    """max |g(ad u, w) + g(u, ad w)| over basis pairs; zero iff invariant."""
+def skew_residual(gram, ad_on_m) -> Fraction:
+    """max |g(ad u, w) + g(u, ad w)| over basis pairs of the Gram matrix;
+    zero iff invariant."""
     worst = Fraction(0)
     cols = [[ad_on_m[i][j] for i in range(3)] for j in range(3)]
     for i in range(3):
         for j in range(3):
-            val = sum(cols[i][k] * metric.gram[k][j] for k in range(3)) + sum(
-                metric.gram[i][k] * cols[j][k] for k in range(3)
+            val = sum(cols[i][k] * gram[k][j] for k in range(3)) + sum(
+                gram[i][k] * cols[j][k] for k in range(3)
             )
             worst = max(worst, abs(val))
     return worst

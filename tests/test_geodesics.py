@@ -25,16 +25,16 @@ def causal_type(chart, state) -> str:
 
 class TestCausalType:
     def test_parallel_field_orbit_is_null(self):
-        st_ = geo.GeodesicState.of(1, 0, 0, 0, 1, 0)
+        st_ = (1, 0, 0, 0, 1, 0)
         assert causal_type(PowerLaw(2.0), st_) == "null"
 
     def test_mixed_uv_is_timelike_on_symmetry_plane(self):
-        st_ = geo.GeodesicState.of(1, 0, 0, 1, -1, 0)
+        st_ = (1, 0, 0, 1, -1, 0)
         for chart in (PowerLaw(2.0), Constant(1.0), Constant(0.0)):
             assert causal_type(chart, st_) == "timelike"
 
     def test_transverse_is_spacelike(self):
-        st_ = geo.GeodesicState.of(1, 0, 0, 0, 0, 1)
+        st_ = (1, 0, 0, 0, 0, 1)
         assert causal_type(Constant(0.0), st_) == "spacelike"
 
 
@@ -76,7 +76,7 @@ class TestRhs:
 class TestIntegration:
     def test_vertical_null_geodesic_hits_boundary_at_affine_one(self):
         res = geo.integrate_geodesic(
-            PowerLaw(2.0), geo.GeodesicState.of(1, 0, 0, -1, 0, 0), (0.0, 5.0)
+            PowerLaw(2.0), (1, 0, 0, -1, 0, 0), (0.0, 5.0)
         )
         assert res.terminated == "hit_domain_boundary"
         assert res.boundary_time == pytest.approx(1.0, abs=1e-6)
@@ -85,7 +85,7 @@ class TestIntegration:
 
     def test_dv_orbit_completes_long_spans(self):
         res = geo.integrate_geodesic(
-            PowerLaw(2.0), geo.GeodesicState.of(1, 0, 0, 0, 1, 0), (0.0, 1e4)
+            PowerLaw(2.0), (1, 0, 0, 0, 1, 0), (0.0, 1e4)
         )
         assert res.terminated == "completed_span"
         assert res.times[-1] - res.times[0] == pytest.approx(1e4)
@@ -103,7 +103,7 @@ class TestIntegration:
         ids=["b=-0.5", "b=2-forward-boundary", "b=2-backward-boundary", "b=-8-boundary", "h=1-span-50", "h=-1-span-50"],
     )
     def test_u_is_affine_and_norm_conserved(self, chart, du, span, terminated):
-        st_ = geo.GeodesicState.of(1.0, 0.0, 0.5, du, -0.7, 0.3)
+        st_ = (1.0, 0.0, 0.5, du, -0.7, 0.3)
         res = geo.integrate_geodesic(chart, st_, (0.0, span))
         assert res.terminated == terminated
         for t, row in zip(res.times, res.states):
@@ -112,15 +112,27 @@ class TestIntegration:
 
     def test_backward_integration(self):
         chart = PowerLaw(2.0)
-        st_ = geo.GeodesicState.of(1.0, 0.0, 0.0, 1.0, -1.0, 0.0)  # timelike, u grows forward
+        st_ = (1.0, 0.0, 0.0, 1.0, -1.0, 0.0)  # timelike, u grows forward
         res = geo.integrate_geodesic(chart, st_, (0.0, -5.0))
         assert res.terminated == "hit_domain_boundary"
         assert res.boundary_time == pytest.approx(-1.0, abs=1e-6)
 
+    def test_a_state_is_any_sequence_of_six_numbers(self):
+        chart = PowerLaw(2.0)
+        state = (1.0, 0.0, 0.3, -1.0, 0.5, 0.2)
+        first, *others = [geo.integrate_geodesic(chart, s, (0.0, 5.0)) for s in (state, list(state), np.array(state))]
+        for res in others:
+            assert np.array_equal(res.times, first.times) and np.array_equal(res.states, first.states)
+            assert (res.terminated, res.nfev, res.boundary_time) == (first.terminated, first.nfev, first.boundary_time)
+            assert res.csv_rows(chart) == first.csv_rows(chart)
+        for bad in (state[:5], list(state) + [0.0], np.array(state[:5])):
+            with pytest.raises(ValueError, match=f"has {len(bad)} entries, not the six"):
+                geo.integrate_geodesic(chart, bad, (0.0, 5.0))
+
     def test_initial_point_must_be_in_domain(self):
         with pytest.raises(DomainError):
             geo.integrate_geodesic(
-                PowerLaw(2.0), geo.GeodesicState.of(-1, 0, 0, 0, 1, 0), (0.0, 1.0)
+                PowerLaw(2.0), (-1, 0, 0, 0, 1, 0), (0.0, 1.0)
             )
 
     def test_boundary_hit_work_is_under_half_of_rk45(self):
@@ -128,7 +140,7 @@ class TestIntegration:
         # for this run, because x ~ 1/u as u -> u_min
         rk45_nfev = 8210
         res = geo.integrate_geodesic(
-            PowerLaw(2.0), geo.GeodesicState.of(1, 0, 0.3, -1, 0.5, 0.2), (0.0, 5.0)
+            PowerLaw(2.0), (1, 0, 0.3, -1, 0.5, 0.2), (0.0, 5.0)
         )
         assert res.terminated == "hit_domain_boundary"
         assert res.nfev < rk45_nfev / 2
@@ -140,7 +152,7 @@ class TestIntegration:
         # inside the phase bound; no truncated trajectory comes back
         with pytest.raises(geo.SolutionLeftFloatRange, match="left float range"):
             geo.integrate_geodesic(
-                Constant(1.0), geo.GeodesicState.of(1, 0, 1e30, 1, 0, 0), (0.0, 290.0)
+                Constant(1.0), (1, 0, 1e30, 1, 0, 0), (0.0, 290.0)
             )
 
 
@@ -157,7 +169,7 @@ class TestWorkBound:
         ],
     )
     def test_transverse_phase(self, chart, state, span, phase):
-        got = geo.transverse_phase(chart, geo.GeodesicState.of(*state), span)
+        got = geo.transverse_phase(chart, state, span)
         assert got == pytest.approx(phase, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -175,7 +187,7 @@ class TestWorkBound:
 
         monkeypatch.setattr(geo, "solve_ivp", no_solve)
         with pytest.raises(geo.TransversePhaseTooLarge, match="work bound"):
-            geo.integrate_geodesic(chart, geo.GeodesicState.of(*state), (0.0, 1.0))
+            geo.integrate_geodesic(chart, state, (0.0, 1.0))
 
 
 class TestClosedForms:
@@ -210,7 +222,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("b", [2.0, 1.0, 0.0, -0.25, -0.5])
     def test_numeric_matches_fitted_solution(self, b):
         chart = PowerLaw(b)
-        st_ = geo.GeodesicState.of(1.0, 0.0, 0.4, 1.0, 0.2, -0.3)
+        st_ = (1.0, 0.0, 0.4, 1.0, 0.2, -0.3)
         res = geo.integrate_geodesic(chart, st_, (0.0, 9.0), rtol=1e-12, atol=1e-14)
         x_of_u = geo.transverse_profile_in_u(chart, st_)
         gap = max(abs(row[2] - x_of_u(row[0])) for row in res.states)
@@ -218,7 +230,7 @@ class TestClosedForms:
 
     def test_fit_reproduces_initial_conditions(self):
         # u0 = 1.5, x0 = 0.7 and dx/du = dx/dt / du/dt = -0.2
-        st_ = geo.GeodesicState.of(1.5, 0.0, 0.7, 1.0, 0.0, -0.2)
+        st_ = (1.5, 0.0, 0.7, 1.0, 0.0, -0.2)
         x_of_u = geo.transverse_profile_in_u(PowerLaw(2.0), st_)
         assert x_of_u(1.5) == pytest.approx(0.7)
         h = 1e-6
@@ -239,7 +251,7 @@ class TestSampling:
         chart = Constant(-1.0)
         rng = np.random.default_rng(0)
         for st_ in geo.sample_initial_conditions(chart, "dv_orbit", 3, rng):
-            assert st_.velocity == (0.0, 1.0, 0.0)
+            assert st_[3:] == (0.0, 1.0, 0.0)
 
 
 class TestCompleteness:
@@ -316,7 +328,7 @@ class TestCompleteness:
     def test_failed_sample_gives_no_verdict(self, monkeypatch):
         # v ~ x^2 leaves float range both ways before u reaches u_min or the
         # horizon; such a sample once counted as complete
-        huge = geo.GeodesicState.of(1.0, 0.0, 1e100, -1.0, 0.0, 0.0)
+        huge = (1.0, 0.0, 1e100, -1.0, 0.0, 0.0)
         monkeypatch.setattr(geo, "sample_initial_conditions", lambda *args: [huge])
         with pytest.raises(geo.SolutionLeftFloatRange):
             geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=1)
@@ -361,7 +373,7 @@ class TestCompleteness:
 class TestBoost:
     def test_boost_state_is_isometric(self):
         chart = PowerLaw(2.0)
-        st_ = geo.GeodesicState.of(1.0, 0.2, 0.4, 1.0, -0.3, 0.5)
+        st_ = (1.0, 0.2, 0.4, 1.0, -0.3, 0.5)
         before = geo.velocity_norm_sq(chart, st_)
         after = geo.velocity_norm_sq(chart, geo.boost_state(1.3, st_))
         assert after == pytest.approx(before, rel=1e-12)

@@ -15,8 +15,9 @@ from lorentz3.geometry import (
     killing_residual,
     metric_at,
     pullback_residual,
-    rosen_to_brinkmann,
     roundtrip_residual,
+    to_brinkmann,
+    to_rosen,
 )
 from lorentz3.geometry import VectorField
 from lorentz3.geometry.charts import U, V, Xc
@@ -144,22 +145,21 @@ class TestHeisenbergFields:
 
 class TestRosenBrinkmann:
     def test_exponent_to_profile(self):
-        assert rosen_to_brinkmann(-1.0).b == pytest.approx(2.0)
-        assert rosen_to_brinkmann(0.5).b == pytest.approx(-0.25)
-        assert rosen_to_brinkmann(2.0).b == pytest.approx(2.0)
+        assert RosenChart(-1.0).b == pytest.approx(2.0)
+        assert RosenChart(0.5).b == pytest.approx(-0.25)
+        assert RosenChart(2.0).b == pytest.approx(2.0)
 
     def test_alpha_zero_is_identity(self):
-        tr = rosen_to_brinkmann(0.0)
-        assert tr.b == 0.0
+        assert RosenChart(0.0).b == 0.0
         p = (1.3, -0.4, 0.9)
-        assert tr.point_map(p) == pytest.approx(p)
+        assert to_rosen(0.0, p) == pytest.approx(p)
+        assert to_brinkmann(0.0, p) == pytest.approx(p)
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 2.0])
     def test_pullback_and_roundtrip(self, alpha):
-        tr = rosen_to_brinkmann(alpha)
         grid = default_grid(shape=(5, 5, 5))
-        assert pullback_residual(tr.point_map, tr.rosen_chart, tr.brinkmann_chart, grid) <= 1e-9
-        assert roundtrip_residual(tr.point_map, tr.inverse_map, grid) <= 1e-12
+        assert pullback_residual(alpha, grid) <= 1e-9
+        assert roundtrip_residual(alpha, grid) <= 1e-12
 
     def test_general_profile_matches_power_law(self):
         # H = delta''/(2 delta) - delta'^2/(4 delta^2) equals b/u^2, b = alpha^2 - alpha

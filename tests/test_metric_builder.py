@@ -16,13 +16,13 @@ from lorentz3.lie_core import (
     shear_automorphism,
 )
 from lorentz3.metric_builder import (
-    InvariantMetric,
     NoInvariantMetric,
     _nilpotency_order_mod_w,
     ad_w_matrix_on_m,
     admits_metric,
     build_invariant_metric,
     has_transverse_subalgebra,
+    signature,
     skew_residual,
     standard_isotropy_for,
     twist_coefficient,
@@ -94,40 +94,41 @@ class TestAdmitsMetric:
 class TestBuildInvariantMetric:
     def test_hyperbolic_table(self):
         a = Derivation.hyperbolic_diag(2)
-        m = build_invariant_metric(a, IsotropyChoice.of(0, 1, 1))
-        assert m.yprime == (0, 1, 2)  # X + bY
-        assert m.gram[1][1] == 1
-        assert m.gram[0][2] == 1  # 1/(b-1) at b = 2
-        assert m.gram[0][0] == 0 and m.gram[2][2] == 0 and m.gram[0][1] == 0
-        assert m.is_lorentz
+        w = IsotropyChoice.of(0, 1, 1)
+        gram = build_invariant_metric(a, w)
+        assert a.apply(w.heis_coefficients) == (0, 1, 2)  # Y' = X + bY
+        assert gram[1][1] == 1
+        assert gram[0][2] == 1  # 1/(b-1) at b = 2
+        assert gram[0][0] == 0 and gram[2][2] == 0 and gram[0][1] == 0
+        assert signature(gram) == (2, 1, 0)
 
     def test_hyperbolic_general_b(self):
         a = Derivation.hyperbolic_diag(3)
-        m = build_invariant_metric(a, IsotropyChoice.of(0, 1, 1))
-        assert m.gram[0][2] == Fraction(1, 2)  # 1/(b-1)
+        gram = build_invariant_metric(a, IsotropyChoice.of(0, 1, 1))
+        assert gram[0][2] == Fraction(1, 2)  # 1/(b-1)
 
     def test_parabolic_table(self):
-        m = build_invariant_metric(Derivation.parabolic(), IsotropyChoice.of(0, 0, 1))
-        assert m.yprime == (0, 1, 1)  # X + Y
-        assert m.gram[0][2] == -1
+        a, w = Derivation.parabolic(), IsotropyChoice.of(0, 0, 1)
+        assert a.apply(w.heis_coefficients) == (0, 1, 1)  # Y' = X + Y
+        assert build_invariant_metric(a, w)[0][2] == -1
 
     def test_elliptic_table(self):
-        m = build_invariant_metric(Derivation.elliptic(1), IsotropyChoice.of(0, 1, 0))
-        assert m.yprime == (0, 1, 1)  # Y + cX at c = 1
-        assert m.gram[0][2] == 1
+        a, w = Derivation.elliptic(1), IsotropyChoice.of(0, 1, 0)
+        assert a.apply(w.heis_coefficients) == (0, 1, 1)  # Y' = Y + cX at c = 1
+        assert build_invariant_metric(a, w)[0][2] == 1
 
     def test_nilpotent_table(self):
-        m = build_invariant_metric(Derivation.nilpotent(), IsotropyChoice.of(0, 0, 1))
-        assert m.yprime == (0, 1, 0)  # X
-        assert m.gram[0][2] == -1
+        a, w = Derivation.nilpotent(), IsotropyChoice.of(0, 0, 1)
+        assert a.apply(w.heis_coefficients) == (0, 1, 0)  # Y' = X
+        assert build_invariant_metric(a, w)[0][2] == -1
 
     def test_unimodular_hyperbolic_table(self):
-        m = build_invariant_metric(Derivation.cw_hyperbolic(), IsotropyChoice.of(0, 1, 1))
-        assert m.gram[0][2] == Fraction(-1, 2)
+        gram = build_invariant_metric(Derivation.cw_hyperbolic(), IsotropyChoice.of(0, 1, 1))
+        assert gram[0][2] == Fraction(-1, 2)
 
     def test_unimodular_elliptic_table(self):
-        m = build_invariant_metric(Derivation.cw_elliptic(), IsotropyChoice.of(0, 1, 0))
-        assert m.gram[0][2] == 1
+        gram = build_invariant_metric(Derivation.cw_elliptic(), IsotropyChoice.of(0, 1, 0))
+        assert gram[0][2] == 1
 
     def test_rejects_eigenvector_isotropy(self):
         with pytest.raises(NoInvariantMetric):
@@ -139,35 +140,46 @@ class TestBuildInvariantMetric:
         choice = IsotropyChoice.of(*w)
         if not admits_metric(a, choice):
             return
-        m = build_invariant_metric(a, choice)
-        assert m.is_lorentz
-        assert skew_residual(m, ad_w_matrix_on_m(a, choice)) == 0
+        gram = build_invariant_metric(a, choice)
+        assert signature(gram) == (2, 1, 0)
+        assert skew_residual(gram, ad_w_matrix_on_m(a, choice)) == 0
+
+
+class TestSignature:
+    @pytest.mark.parametrize(
+        "gram, inertia",
+        [
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 0, 0)),
+            (((0, 0, 1), (0, 1, 0), (1, 0, 0)), (2, 1, 0)),  # a hyperbolic pair and a spacelike line
+            (((0, 0, -3), (0, 1, 0), (-3, 0, 0)), (2, 1, 0)),
+            (((1, 2, 0), (2, 1, 0), (0, 0, 0)), (1, 1, 1)),
+            (((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 3)),
+        ],
+    )
+    def test_sylvester_inertia(self, gram, inertia):
+        assert signature(gram) == inertia
 
 
 class TestSkewResidual:
     def test_constructed_metric_is_exactly_invariant(self):
         a = Derivation.hyperbolic_diag(2)
         w = IsotropyChoice.of(0, 1, 1)
-        m = build_invariant_metric(a, w)
-        assert skew_residual(m, ad_w_matrix_on_m(a, w)) == 0
+        gram = build_invariant_metric(a, w)
+        assert skew_residual(gram, ad_w_matrix_on_m(a, w)) == 0
 
     def test_corrupted_gram_detected(self):
         a = Derivation.hyperbolic_diag(2)
         w = IsotropyChoice.of(0, 1, 1)
-        good = build_invariant_metric(a, w)
-        rows = [list(r) for r in good.gram]
-        rows[2][2] = Fraction(1)  # g(Z, Z) = 1
-        bad = InvariantMetric(
-            gram=tuple(tuple(r) for r in rows), yprime=good.yprime
-        )
+        bad = [list(r) for r in build_invariant_metric(a, w)]
+        bad[2][2] = Fraction(1)  # g(Z, Z) = 1
         # the (Y', Z) pair evaluates to kappa * g(Z, Z) = (b - 1) * 1 = 1
         kappa = twist_coefficient(a, w)
         assert skew_residual(bad, ad_w_matrix_on_m(a, w)) == abs(kappa) == 1
 
     def test_zero_ad_map(self):
-        m = build_invariant_metric(Derivation.parabolic(), IsotropyChoice.of(0, 0, 1))
+        gram = build_invariant_metric(Derivation.parabolic(), IsotropyChoice.of(0, 0, 1))
         zero = ((Fraction(0),) * 3,) * 3
-        assert skew_residual(m, zero) == 0
+        assert skew_residual(gram, zero) == 0
 
 
 class TestTransverseSubalgebra:

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -75,13 +76,53 @@ def test_always_printed_fields_are_required(schema_validator, report, spoil):
         schema_validator("space_report", report)
 
 
+# a verify check's name, as a schema description spells it
+CHECK_NAME = re.compile(r"\b(?:acceptance|lie|metric|geometry|geodesic|classifier)-[a-z0-9-]*[a-z0-9]")
+
+
+def _descriptions(node):
+    if isinstance(node, dict):
+        if isinstance(node.get("description"), str):
+            yield node["description"]
+        for child in node.values():
+            yield from _descriptions(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _descriptions(child)
+
+
+def _space_report_schema():
+    return json.loads((SCHEMA_DIR / "space_report.schema.json").read_text(encoding="utf-8"))
+
+
 def test_signature_names_the_checks_that_compute_it():
-    schema = json.loads((SCHEMA_DIR / "space_report.schema.json").read_text(encoding="utf-8"))
+    schema = _space_report_schema()
     text = schema["properties"]["invariant_metric"]["properties"]["signature"]["description"]
     assert "acceptance-04-metric-construction" in text and "acceptance-04-metric-construction" in check_names()
     test_source = (Path(__file__).parent / "test_metric_builder.py").read_text(encoding="utf-8")
     assert "test_signature_and_skew_on_random_admissible_data" in text
     assert "def test_signature_and_skew_on_random_admissible_data" in test_source
+    # and every check that any shipped description names is registered
+    named = {
+        name
+        for path in sorted(SCHEMA_DIR.glob("*.schema.json"))
+        for text in _descriptions(json.loads(path.read_text(encoding="utf-8")))
+        for name in CHECK_NAME.findall(text)
+    }
+    assert "acceptance-04-metric-construction" in named
+    assert named <= set(check_names()), sorted(named - set(check_names()))
+
+
+def test_every_flag_names_its_check_or_says_it_has_none():
+    flags = _space_report_schema()["properties"]["flags"]["properties"]
+    unchecked = set()
+    for flag, prop in flags.items():
+        names = CHECK_NAME.findall(prop["description"])
+        if not names:
+            assert "No verify check compares this flag" in prop["description"], flag
+            unchecked.add(flag)
+    # shrink this set as checks land; a flag may not lose its check silently
+    assert unchecked == {"symmetric", "complete"}
 
 
 @pytest.mark.parametrize("b, ok", [(None, True), ("-1/4", True), (2, False), (-0.25, False), ("b", False)])

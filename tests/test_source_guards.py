@@ -84,6 +84,29 @@ def test_closed_form_layer_never_imports_its_oracle():
     assert not offenders, offenders
 
 
+def test_exact_and_tensor_layers_never_import_the_geodesic_layer():
+    # scipy backs geodesics.py only; the closed forms and the exact layer
+    # must stay importable, and fast to import, without it
+    paths = sorted((SRC / "geometry").glob("*.py")) + [
+        SRC / f"{name}.py" for name in ("lie_core", "metric_builder", "classifier")
+    ]
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module in _imported_modules(tree):
+            parts = module.split(".")
+            if parts[0] == "scipy" or "geodesics" in parts:
+                offenders.append(f"{path.relative_to(SRC)}: {module}")
+    assert not offenders, offenders
+
+
+def test_geometry_exports_resolve():
+    import lorentz3.geometry as geometry
+
+    missing = [name for name in geometry.__all__ if not hasattr(geometry, name)]
+    assert not missing, missing
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # the traced benchmark run patches these names; one deleted from the
     # package would break that run and nothing else
