@@ -120,14 +120,6 @@ def classify(a: Derivation) -> SpaceClass:
     return class_from_b(invariant_b(a))
 
 
-def groups_isomorphic(a1: Derivation, a2: Derivation) -> bool:
-    """Isomorphism of the two extension groups: non-unimodular pairs are
-    isomorphic exactly when their b invariants agree, unimodular pairs
-    exactly when they land in the same symmetric class, and mixed pairs
-    never are.  A class is its tag and b, so that is class equality."""
-    return classify(a1) == classify(a2)
-
-
 # ---------------------------------------------------------------------------
 # Space report
 # ---------------------------------------------------------------------------

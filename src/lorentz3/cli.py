@@ -437,13 +437,7 @@ def _cmd_verify(args, parser) -> int:
             "suite": args.suite,
             "passed": all_passed,
             "checks": [
-                {
-                    "name": r.name,
-                    "suite": r.suite,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "elapsed_seconds": round(r.elapsed, 3),
-                }
+                {"name": r.name, "suite": r.suite, "passed": r.passed, "detail": r.detail}
                 for r in results
             ],
         }

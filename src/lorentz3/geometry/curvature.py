@@ -136,17 +136,6 @@ def covariant_R_derivative(chart: Chart, points, direction):
     return sup_norm(nabla_riemann(chart, points, direction), 4)
 
 
-def riemann_symmetry_residual(r: np.ndarray) -> float:
-    """Worst violation of the algebraic Riemann identities."""
-    worst = 0.0
-    worst = max(worst, float(np.max(np.abs(r + np.swapaxes(r, 0, 1)))))
-    worst = max(worst, float(np.max(np.abs(r + np.swapaxes(r, 2, 3)))))
-    worst = max(worst, float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1))))))
-    bianchi = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
-    worst = max(worst, float(np.max(np.abs(bianchi))))
-    return worst
-
-
 def default_grid(
     u_range=(0.5, 2.0),
     v_range=(-1.0, 1.0),
@@ -205,5 +194,4 @@ def curvature_report(chart: Chart, point) -> dict:
             name: covariant_R_derivative(chart, point, name) for name in ("u", "v", "x")
         },
         "max_abs_riemann": float(np.max(np.abs(r))),
-        "symmetry_residual": riemann_symmetry_residual(r),
     }

@@ -9,7 +9,6 @@ from lorentz3.classifier import (
     brinkmann_chart,
     class_from_b,
     classify,
-    groups_isomorphic,
     invariant_b,
     report_from_class,
     space_report,
@@ -143,25 +142,24 @@ class TestClassify:
         ):
             assert classify(a.scaled(lam)) == classify(a)
 
-
-class TestGroupsIsomorphic:
+    # two extension groups are isomorphic exactly when their classes are equal
     def test_same_b_same_group(self):
-        assert groups_isomorphic(Derivation.canonical(2), Derivation.rosen_exponent(-1))
+        assert classify(Derivation.canonical(2)) == classify(Derivation.rosen_exponent(-1))
 
     def test_different_b_different_group(self):
-        assert not groups_isomorphic(Derivation.canonical(1), Derivation.canonical(2))
+        assert classify(Derivation.canonical(1)) != classify(Derivation.canonical(2))
 
     def test_distinct_symmetric_models(self):
-        assert not groups_isomorphic(Derivation.cw_hyperbolic(), Derivation.cw_elliptic())
+        assert classify(Derivation.cw_hyperbolic()) != classify(Derivation.cw_elliptic())
 
     def test_flat_pair_is_not_isomorphic(self):
         half = Derivation.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        assert not groups_isomorphic(Derivation.nilpotent(), half)
+        assert classify(Derivation.nilpotent()) != classify(half)
 
     def test_conjugation_and_scaling_preserve_the_group(self):
         a = Derivation.hyperbolic_diag(Fraction(-1, 2))
         phi = diagonal_automorphism(3, Fraction(-2, 5))
-        assert groups_isomorphic(a, conjugate_derivation(a, phi).scaled(7))
+        assert classify(conjugate_derivation(a, phi).scaled(7)) == classify(a)
 
 
 class TestSpaceReport:

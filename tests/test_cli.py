@@ -606,9 +606,12 @@ class TestVerify:
         assert len(lines) >= 2
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_text_output_is_the_same_on_every_run(self, capsys):
-        first = run_cli(capsys, "verify", "--suite", "geometry")
-        second = run_cli(capsys, "verify", "--suite", "geometry")
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--suite", "geometry"), ("verify", "--suite", "metric", "--json")]
+    )
+    def test_text_output_is_the_same_on_every_run(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
         assert first[0] == 0
         assert first == second
 

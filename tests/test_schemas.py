@@ -8,6 +8,7 @@ from jsonschema import Draft202012Validator, ValidationError
 
 import lorentz3
 from lorentz3.classifier import space_report
+from lorentz3.geometry import PowerLaw, curvature_report
 from lorentz3.lie_core import Derivation
 from lorentz3.verify import check_names
 
@@ -123,6 +124,21 @@ def test_every_flag_names_its_check_or_says_it_has_none():
             unchecked.add(flag)
     # shrink this set as checks land; a flag may not lose its check silently
     assert unchecked == {"symmetric", "complete"}
+
+
+def test_retired_fields_are_refused(schema_validator):
+    # symmetry_residual was 0 by construction; elapsed_seconds differed between runs
+    curvature = curvature_report(PowerLaw(2.0), (1.0, 0.0, 0.0))
+    check = {"name": "lie-normalize-idempotent", "suite": "lie", "passed": True, "detail": "-"}
+    verify = {"suite": "lie", "passed": True, "checks": [check]}
+    for schema, payload, block, key in (
+        ("curvature_report", curvature, curvature, "symmetry_residual"),
+        ("verify_report", verify, check, "elapsed_seconds"),
+    ):
+        schema_validator(schema, payload)
+        block[key] = 0.0
+        with pytest.raises(ValidationError, match="Additional properties"):
+            schema_validator(schema, payload)
 
 
 @pytest.mark.parametrize("b, ok", [(None, True), ("-1/4", True), (2, False), (-0.25, False), ("b", False)])
