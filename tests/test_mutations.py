@@ -60,16 +60,25 @@ def _elliptic_hyperbolic_swapped(real):
     return lambda b: swap.get(real(b), real(b))
 
 
-def _flag_inverted(flag):
+def _result_edited(edit):
+    """The real function with ``edit(result, *args)`` applied to each result."""
+
     def factory(real):
         def mutant(*args, **kwargs):
-            report = real(*args, **kwargs)
-            report["flags"][flag] = not report["flags"][flag]
-            return report
+            result = real(*args, **kwargs)
+            edit(result, *args)
+            return result
 
         return mutant
 
     return factory
+
+
+def _flag_inverted(flag):
+    def edit(report, *_):
+        report["flags"][flag] = not report["flags"][flag]
+
+    return _result_edited(edit)
 
 
 def _entries_added(*entries):
@@ -86,50 +95,24 @@ def _entry_replaced(index, formula):
     return lambda real: tuple((i, formula if i == index else f) for i, f in real)
 
 
-def _tensor_edited(edit):
-    """``_uxux_tensor`` with ``edit(r)`` applied to each tensor it returns."""
-
-    def factory(real):
-        def mutant(*args):
-            r = real(*args)
-            edit(r)
-            return r
-
-        return mutant
-
-    return factory
-
-
-def _mirror_sign_flipped(r):
+def _mirror_sign_flipped(r, *_):
     r[..., Xc, U, Xc, U] *= -1.0
 
 
-def _mirror_dropped(r):
+def _mirror_dropped(r, *_):
     r[..., Xc, U, U, Xc] = 0.0
 
 
-def _uvuv_added(r):
+def _uvuv_added(r, *_):
     r[..., U, V, U, V] = r[..., V, U, V, U] = r[..., U, Xc, U, Xc]
     r[..., U, V, V, U] = r[..., V, U, U, V] = -r[..., U, Xc, U, Xc]
 
 
-def _rhs_edited(edit):
-    def factory(real):
-        def mutant(chart, y):
-            out = real(chart, y)
-            edit(chart, y, out)
-            return out
-
-        return mutant
-
-    return factory
-
-
-def _x_acceleration_flipped(chart, y, out):
+def _x_acceleration_flipped(out, chart, y):
     out[5] = -out[5]
 
 
-def _cross_term_dropped(chart, y, out):
+def _cross_term_dropped(out, chart, y):
     u, _, x, du, _, dx = y.tolist()
     out[4] += 2.0 * chart.h(u) * x * du * dx
 
@@ -171,16 +154,16 @@ ROWS = [
      (ORACLE,), CLASSES),
     ("del-u-r-doubled", curvature, "_BRINKMANN_DR", _entry_scaled((U, Xc, U, Xc), 2.0),
      (DEL_R, ORACLE), SYMMETRIC),
-    ("mirror-sign-flipped", curvature, "_uxux_tensor", _tensor_edited(_mirror_sign_flipped),
+    ("mirror-sign-flipped", curvature, "_uxux_tensor", _result_edited(_mirror_sign_flipped),
      (DEL_R, ORACLE), SYMMETRIC),
-    ("mirror-dropped", curvature, "_uxux_tensor", _tensor_edited(_mirror_dropped),
+    ("mirror-dropped", curvature, "_uxux_tensor", _result_edited(_mirror_dropped),
      (DEL_R, ORACLE), SYMMETRIC),
-    ("r-uvuv-added", curvature, "_uxux_tensor", _tensor_edited(_uvuv_added),
+    ("r-uvuv-added", curvature, "_uxux_tensor", _result_edited(_uvuv_added),
      (DEL_R, ORACLE), SYMMETRIC),
     # geodesic layer
-    ("x-acceleration-flipped", geodesics, "geodesic_rhs", _rhs_edited(_x_acceleration_flipped),
+    ("x-acceleration-flipped", geodesics, "geodesic_rhs", _result_edited(_x_acceleration_flipped),
      ("acceptance-07-closed-form-geodesics", CONSERVATION), COMPLETE),
-    ("v-cross-term-dropped", geodesics, "geodesic_rhs", _rhs_edited(_cross_term_dropped),
+    ("v-cross-term-dropped", geodesics, "geodesic_rhs", _result_edited(_cross_term_dropped),
      (CONSERVATION,), COMPLETE),
 ]
 
@@ -231,6 +214,10 @@ def test_every_named_check_catches_the_defect(module, name, factory, checks, cla
         results = [run_check(check) for check in checks]
     missed = [f"{r.name}: {r.detail}" for r in results if r.passed]
     assert not missed, f"defect against '{claim}' passed {missed}"
+    # a check that crashes counts as failed in verify, but here it would
+    # hide a defect factory that does not run
+    crashed = [f"{r.name}: {r.detail}" for r in results if r.detail.startswith("raised ")]
+    assert not crashed, crashed
 
 
 def test_a_defect_reaches_every_binding_site():
