@@ -159,7 +159,6 @@ def integrate_geodesic(
     span: tuple[float, float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    t_eval=None,
 ) -> GeodesicResult:
     """Adaptive DOP853 integration with domain-boundary detection.
 
@@ -209,7 +208,6 @@ def integrate_geodesic(
             rtol=rtol,
             atol=atol,
             events=events or None,
-            t_eval=t_eval,
             dense_output=False,
         )
 
@@ -245,9 +243,9 @@ def conservation_drift(chart: PowerLaw | Constant, initial: Sequence[float], res
     for row in result.states:
         if chart.half_space and not row[0] > 0:
             continue
-        terms = np.outer(row[3:], row[3:]) * metric_at(chart, row[:3])
-        scale = max(1.0, abs(q0), float(np.sum(np.abs(terms))))
-        drift = max(drift, abs(velocity_norm_sq(chart, row) - q0) / scale)
+        g, vel = metric_at(chart, row[:3]), row[3:]
+        scale = max(1.0, abs(q0), float(np.sum(np.abs(np.outer(vel, vel) * g))))
+        drift = max(drift, abs(float(vel @ g @ vel) - q0) / scale)
     return drift
 
 
@@ -480,14 +478,3 @@ def completeness_report(
         verdicts[family] = {"verdict": verdict, "evidence": evidence, "count": count, "details": details}
     return {"chart": str(chart), "seed": seed, "affine_horizon": DEFAULT_HORIZON, "verdicts": verdicts}
 
-
-# ---------------------------------------------------------------------------
-# Boost action (for equivariance checks)
-# ---------------------------------------------------------------------------
-
-
-def boost_state(s: float, state: Sequence[float]) -> tuple[float, ...]:
-    """The boost isometry (u, v, x) -> (e^s u, e^-s v, x) applied to a state."""
-    eu = math.exp(s)
-    u, v, x, du, dv, dx = state
-    return (eu * u, v / eu, x, eu * du, dv / eu, dx)

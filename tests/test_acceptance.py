@@ -46,6 +46,5 @@ def test_the_registry_holds_exactly_these_checks():
         "metric-criteria-agree",
         "geometry-oracle-agreement",
         "geodesic-conservation-and-affine-u",
-        "geodesic-boost-equivariance",
         "classifier-flags-consistent-with-geometry",
     }

@@ -368,12 +368,3 @@ class TestCompleteness:
         a = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
         b = geo.completeness_report(PowerLaw(2.0), families=("timelike",), count=3, seed=42)
         assert a == b
-
-
-class TestBoost:
-    def test_boost_state_is_isometric(self):
-        chart = PowerLaw(2.0)
-        st_ = (1.0, 0.2, 0.4, 1.0, -0.3, 0.5)
-        before = geo.velocity_norm_sq(chart, st_)
-        after = geo.velocity_norm_sq(chart, geo.boost_state(1.3, st_))
-        assert after == pytest.approx(before, rel=1e-12)

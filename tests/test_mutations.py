@@ -26,7 +26,7 @@ from unittest import mock
 
 import pytest
 
-from lorentz3 import classifier, geodesics, lie_core
+from lorentz3 import classifier, geodesics, lie_core, metric_builder
 from lorentz3.geometry import curvature
 from lorentz3.geometry.charts import U, V, Xc
 from lorentz3.verify import check_names, run_check
@@ -35,6 +35,7 @@ ORACLE = "geometry-oracle-agreement"
 DEL_R = "acceptance-02-symmetry-dichotomy"
 FLAGS = "classifier-flags-consistent-with-geometry"
 CONSERVATION = "geodesic-conservation-and-affine-u"
+CLOSED_FORM = "acceptance-07-closed-form-geodesics"
 
 # Claims of the paper's abstract that a row can put at risk
 CLASSES = "the classification of the plane waves by the invariant b"
@@ -42,6 +43,10 @@ NOT_A_GROUP = "non-unimodular elliptic plane waves, and only them, are neither l
 SYMMETRIC = "the symmetric models are locally symmetric, the other plane waves are not"
 COMPACT = "only one non-flat plane wave has a compact model"
 COMPLETE = "geodesically complete only if symmetric"
+
+
+def _inverted(real):
+    return lambda *args: not real(*args)
 
 
 def _doubled_scale(real):
@@ -117,6 +122,46 @@ def _cross_term_dropped(out, chart, y):
     out[4] += 2.0 * chart.h(u) * x * du * dx
 
 
+def _x_acceleration_du_once(out, chart, y):
+    u, _, x, du, _, _ = y.tolist()
+    out[5] = chart.h(u) * x * du
+
+
+def _v_acceleration_du_cubed(out, chart, y):
+    # -dh x^2 du^3 / 2 in place of -dh x^2 du^2 / 2
+    u, _, x, du, _, _ = y.tolist()
+    out[4] += 0.5 * chart.dh(u) * x * x * du * du * (1.0 - du)
+
+
+def _v_acceleration_offset(out, chart, y):
+    _, _, x, du, _, _ = y.tolist()
+    out[4] += 1e-3 * x * du
+
+
+def _cross_term_du_squared(out, chart, y):
+    # -2 h x du^2 dx in place of -2 h x du dx
+    u, _, x, du, _, dx = y.tolist()
+    out[4] += 2.0 * chart.h(u) * x * du * dx * (1.0 - du)
+
+
+def _loose_tolerances(real):
+    return lambda chart, initial, span, **_: real(chart, initial, span, rtol=1e-4, atol=1e-6)
+
+
+def _omega_scaled(factor):
+    """``euler_basis`` with w of the oscillatory branch (1 + 4b < 0) scaled
+    by ``factor``: the real basis at the b whose w is that much larger."""
+
+    def factory(real):
+        def mutant(b, t):
+            disc = 1.0 + 4.0 * b
+            return real((factor * factor * disc - 1.0) / 4.0 if disc < -1e-13 else b, t)
+
+        return mutant
+
+    return factory
+
+
 def _h_x(chart, u, v, x):
     return chart.h(u) * x
 
@@ -141,6 +186,8 @@ ROWS = [
      (FLAGS,), NOT_A_GROUP),
     ("compact-model-inverted", classifier, "report_from_class", _flag_inverted("compact_model"),
      ("acceptance-08-compact-model-verdicts",), COMPACT),
+    ("admits-metric-inverted", metric_builder, "admits_metric", _inverted,
+     ("metric-criteria-agree",), CLASSES),
     # tensor layer
     ("gamma-x-uv-added", curvature, "_BRINKMANN_GAMMA", _entries_added(((Xc, U, V), _h_x), ((Xc, V, U), _h_x)),
      (DEL_R, ORACLE), SYMMETRIC),
@@ -162,9 +209,21 @@ ROWS = [
      (DEL_R, ORACLE), SYMMETRIC),
     # geodesic layer
     ("x-acceleration-flipped", geodesics, "geodesic_rhs", _result_edited(_x_acceleration_flipped),
-     ("acceptance-07-closed-form-geodesics", CONSERVATION), COMPLETE),
+     (CLOSED_FORM, CONSERVATION), COMPLETE),
     ("v-cross-term-dropped", geodesics, "geodesic_rhs", _result_edited(_cross_term_dropped),
      (CONSERVATION,), COMPLETE),
+    ("x-acceleration-du-once", geodesics, "geodesic_rhs", _result_edited(_x_acceleration_du_once),
+     (CONSERVATION,), COMPLETE),
+    ("v-acceleration-du-cubed", geodesics, "geodesic_rhs", _result_edited(_v_acceleration_du_cubed),
+     (CONSERVATION,), COMPLETE),
+    ("v-acceleration-offset", geodesics, "geodesic_rhs", _result_edited(_v_acceleration_offset),
+     (CONSERVATION,), COMPLETE),
+    ("v-cross-term-du-squared", geodesics, "geodesic_rhs", _result_edited(_cross_term_du_squared),
+     (CONSERVATION,), COMPLETE),
+    ("tolerances-loosened", geodesics, "integrate_geodesic", _loose_tolerances,
+     (CLOSED_FORM, CONSERVATION), COMPLETE),
+    ("oscillatory-omega-scaled", geodesics, "euler_basis", _omega_scaled(1.01),
+     (CLOSED_FORM,), COMPLETE),
 ]
 
 NAMED = {check for row in ROWS for check in row[4]}
@@ -179,8 +238,6 @@ UNROWED = {
     "acceptance-10-sectional-blowup",
     "lie-jacobi-zero-on-families",
     "lie-normalize-idempotent",
-    "metric-criteria-agree",
-    "geodesic-boost-equivariance",
 }
 
 
