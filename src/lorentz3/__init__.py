@@ -8,7 +8,8 @@ verifies curvature, Killing, completeness, and compact-model claims both
 in closed form and against finite-difference oracles.
 
 Submodules are not imported here, so that commands which never integrate a
-geodesic do not load scipy; import the one you need.
+geodesic do not load the geodesic layer; import the one you need.  The
+only runtime dependency is numpy.
 """
 
 __version__ = "0.1.0"

@@ -349,7 +349,7 @@ def _cmd_curvature(args, parser) -> int:
 
 
 def _cmd_geodesic(args, parser) -> int:
-    from . import geodesics as geo  # scipy loads only for this command
+    from . import geodesics as geo  # the geodesic layer loads only for this command
 
     mode, other_flags = ("--init", ("--count", "--seed")) if args.init is not None else ("--family", ("--span",))
     for flag in other_flags:

@@ -9,11 +9,20 @@ of the discriminant 1 + 4b.  A geodesic state is the six numbers
 (u, v, x, du, dv, dx), passed as any sequence of them.
 
 Every integration uses the explicit Runge-Kutta pair of Dormand and
-Prince of order 8(5,3), scipy's ``DOP853`` (Hairer, Norsett & Wanner,
-*Solving Ordinary Differential Equations I*, 2nd ed., section II.10), at
-rtol 1e-10 and atol 1e-12 unless the caller passes others.  A trajectory
-is the solver's accepted steps, and every verdict record carries the
-solver's work (``nfev``, ``nsteps``).
+Prince of order 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, 2nd ed., section II.10), at rtol
+1e-10 and atol 1e-12 unless the caller passes others.  :func:`solve_ivp`
+is that method written out on the six floats of a state: each stage sum
+is unrolled over the six components, and the step control is scipy's
+(its initial-step heuristic, safety 0.9, step factors between 0.2 and
+10 from the error to the power -1/8, a least step of 10 ulp of t, and
+the last step clipped to the end of the span).  A trajectory is the
+accepted steps, and every verdict record carries the work (``nfev``,
+``nsteps``).  On a half-space chart a step that ends at u <= u_min is
+cut back to the crossing, found by the secant on u: every stage's
+u-slope is du, so u is affine along the Runge-Kutta solution and the
+secant is exact.  The boundary state is one step of that size from the
+last accepted state.
 
 Completeness verdicts are numerical *evidence*, never proofs, and the
 reports say so.  :func:`completeness_report` returns the ``geodesic
@@ -40,7 +49,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry.charts import Constant, PowerLaw, check_domain, metric_at
 
@@ -63,6 +71,57 @@ GAP_BOUNDS = {
     "integrator_vs_closed_form_sup_rel_gap": 1e-6,
 }
 
+# The DOP853 tableau: Hairer's coefficients as scipy ships them, each the
+# double nearest the published value, nonzero entries only.  Row s of _A
+# holds the (j, a_sj) of stage s; _B the (j, b_j) of the order-8 solution;
+# _E the (j, e5_j, e3_j) of the order-5 and order-3 error estimates.  The
+# geodesic system is autonomous, so the nodes _C (c_1 .. c_11) enter no
+# step; they pin the row sums of _A.
+_A = (
+    (),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+_B = (
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
+)
+_C = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0,
+)
+_E = (
+    (0, 0.01312004499419488, -0.18980075407240762),
+    (5, -1.2251564463762044, 4.450312892752409),
+    (6, -0.4957589496572502, 1.8915178993145003),
+    (7, 1.6643771824549864, -5.801203960010585),
+    (8, -0.35032884874997366, -0.4226823213237919),
+    (9, 0.3341791187130175, -0.1521609496625161),
+    (10, 0.08192320648511571, 0.20136540080403034),
+    (11, -0.022355307863886294, 0.02265179219836082),
+)
+# scipy's step control for an error estimate of order 7
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+
 
 class TransversePhaseTooLarge(ValueError):
     """The transverse solution of the requested run turns through more
@@ -70,8 +129,9 @@ class TransversePhaseTooLarge(ValueError):
 
 
 class SolutionLeftFloatRange(ValueError):
-    """The solver's step size fell below float spacing before the end of
-    the span or before u reached u_min: the solution left float range."""
+    """A state or its derivative stopped being finite, or the step size fell
+    below 10 ulp of t, before the end of the span or before u reached
+    u_min: the solution left float range."""
 
 
 class EvidenceGapTooLarge(ValueError):
@@ -86,22 +146,177 @@ def velocity_norm_sq(chart: PowerLaw | Constant, state: Sequence[float]) -> floa
     return float(vel @ g @ vel)
 
 
-def geodesic_rhs(chart: PowerLaw | Constant, y: np.ndarray) -> np.ndarray:
+def geodesic_rhs(chart: PowerLaw | Constant, y: Sequence[float]) -> list[float]:
     """Right-hand side of the first-order system (u, v, x, du, dv, dx) on a
-    Brinkmann chart, in Python float arithmetic.
+    Brinkmann chart, in Python float arithmetic: six floats from any
+    sequence of six.
 
     Where Python raises on the profile (u = 0, or u**3 out of float range)
     the profile is taken in numpy's scalar arithmetic instead, which gives
-    inf, nan or 0.0 there, so the solver sees what it would see in numpy.
+    inf, nan or 0.0 there, and the integrator sees a non-finite stage.
     """
-    u, _, x, du, dv, dx = y.tolist()
+    u, _, x, du, dv, dx = y
     try:
         h, dh = chart.h(u), chart.dh(u)
     except (ZeroDivisionError, OverflowError):
-        h, dh = chart.h(np.float64(u)), chart.dh(np.float64(u))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h, dh = float(chart.h(np.float64(u))), float(chart.dh(np.float64(u)))
     acc_v = -0.5 * dh * x * x * du * du - 2.0 * h * x * du * dx
     acc_x = h * x * du * du
-    return np.array([du, dv, dx, 0.0, acc_v, acc_x])
+    return [du, dv, dx, 0.0, acc_v, acc_x]
+
+
+def _stage(y: Sequence[float], h: float, ks: list, row: tuple) -> tuple:
+    """y + h * sum_j a_j k_j over the (j, a_j) of ``row``, unrolled over the
+    six components."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3, k4, k5 = ks[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+        s4 += a * k4
+        s5 += a * k5
+    y0, y1, y2, y3, y4, y5 = y
+    return (y0 + h * s0, y1 + h * s1, y2 + h * s2, y3 + h * s3, y4 + h * s4, y5 + h * s5)
+
+
+def _rk_step(chart: PowerLaw | Constant, y: Sequence[float], f: list, h: float) -> tuple[list, tuple]:
+    """The stage derivatives of one DOP853 step of size h from the state y
+    with derivative f, and the order-8 state at its end (11 evaluations)."""
+    ks = [f]
+    for row in _A[1:]:
+        ks.append(geodesic_rhs(chart, _stage(y, h, ks, row)))
+    return ks, _stage(y, h, ks, _B)
+
+
+def _error_norm(ks: list, h: float, y: Sequence[float], y_new: Sequence[float], rtol: float, atol: float) -> float:
+    """scipy's DOP853 error norm: the order-5 estimate, damped by the
+    order-3 one, in the RMS norm scaled by atol + rtol max(|y|, |y_new|)."""
+    p0 = p1 = p2 = p3 = p4 = p5 = q0 = q1 = q2 = q3 = q4 = q5 = 0.0
+    for j, e5, e3 in _E:
+        k0, k1, k2, k3, k4, k5 = ks[j]
+        p0 += e5 * k0
+        p1 += e5 * k1
+        p2 += e5 * k2
+        p3 += e5 * k3
+        p4 += e5 * k4
+        p5 += e5 * k5
+        q0 += e3 * k0
+        q1 += e3 * k1
+        q2 += e3 * k2
+        q3 += e3 * k3
+        q4 += e3 * k4
+        q5 += e3 * k5
+    err5 = err3 = 0.0
+    for p, q, a, b in zip((p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5), y, y_new):
+        a, b = abs(a), abs(b)
+        scale = atol + (a if a > b else b) * rtol
+        p, q = p / scale, q / scale
+        err5 += p * p
+        err3 += q * q
+    if not err5:  # the norm is 0 then, and 0 / 0 where err3 is 0 too
+        return 0.0
+    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 6.0)
+
+
+def _rms(values: Iterable[float]) -> float:
+    return math.sqrt(sum(c * c for c in values) / 6.0)
+
+
+def _initial_step(
+    chart: PowerLaw | Constant, y: Sequence[float], f: list, length: float, direction: float, rtol: float, atol: float
+) -> float:
+    """scipy's first step size for an error estimate of order 7 (Hairer,
+    Norsett & Wanner, section II.4), from one trial evaluation."""
+    scale = [atol + abs(c) * rtol for c in y]
+    d0 = _rms(c / s for c, s in zip(y, scale))
+    d1 = _rms(c / s for c, s in zip(f, scale))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1 = geodesic_rhs(chart, [c + h0 * direction * k for c, k in zip(y, f)])
+    # where d1 is so large that h0 underflows to 0, numpy's d2 is inf or nan
+    # and the step 0, which the first step raises to its least size
+    d2 = _rms((b - a) / s for a, b, s in zip(f, f1, scale)) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, length)
+
+
+@dataclass(frozen=True)
+class Solution:
+    """What :func:`solve_ivp` returns: the times ``t`` of the initial state
+    and of each accepted step, the states ``y`` there (rows of six),
+    ``nfev`` right-hand-side evaluations, and ``status`` 0 at the end of
+    the span or 1 at the boundary level, reached at ``t_boundary``."""
+
+    t: list[float]
+    y: list[Sequence[float]]
+    nfev: int
+    status: int
+    t_boundary: Optional[float] = None
+
+
+def solve_ivp(
+    chart: PowerLaw | Constant, y0: Sequence[float], t_span: tuple[float, float], rtol: float, atol: float
+) -> Solution:
+    """Integrate the geodesic system of ``chart`` with DOP853 from the state
+    ``y0`` (six floats) over ``t_span`` (distinct finite ends, either
+    order).  On a half-space chart the run stops where u reaches
+    DEFAULT_U_MIN.  A state or initial derivative that is not finite, or a
+    step size below 10 ulp of t, raises :class:`SolutionLeftFloatRange`; an
+    error norm that is not finite rejects the step, as in scipy, and the
+    step shrinks fivefold."""
+    t, t_end = t_span
+    direction = 1.0 if t_end > t else -1.0
+    u_min = DEFAULT_U_MIN if chart.half_space else -math.inf
+    y = tuple(y0)
+    f = geodesic_rhs(chart, y)
+    if not all(map(math.isfinite, (*y, *f))):
+        raise SolutionLeftFloatRange(f"the state {list(y)} has derivative {f}: the solution left float range")
+    h_abs = _initial_step(chart, y, f, abs(t_end - t), direction, rtol, atol)
+    nfev = 2
+    ts, ys = [t], [y]
+    while t != t_end:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a step that is nan
+                raise SolutionLeftFloatRange(
+                    f"the step size fell to {h_abs:.3g} at t = {t:.6g} of span {tuple(t_span)}: "
+                    "the solution left float range"
+                )
+            t_new = t + direction * h_abs
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            ks, y_new = _rk_step(chart, y, f, h)
+            nfev += 11
+            err = _error_norm(ks, h, y, y_new, rtol, atol)
+            if err < 1.0:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)  # a nan error gives 0.2
+            rejected = True
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+        h_abs *= min(1.0, factor) if rejected else factor
+        if not all(map(math.isfinite, y_new)):
+            raise SolutionLeftFloatRange(f"the state at t = {t_new:.6g} is {list(y_new)}: the solution left float range")
+        if y_new[0] <= u_min:
+            # u is affine along the step, so the secant gives the crossing
+            h_hit = h * (u_min - y[0]) / (y_new[0] - y[0])
+            ts.append(t + h_hit)
+            ys.append(_rk_step(chart, y, f, h_hit)[1])
+            return Solution(ts, ys, nfev + 11, 1, ts[-1])
+        f = geodesic_rhs(chart, y_new)
+        nfev += 1
+        t, y = t_new, y_new
+        ts.append(t)
+        ys.append(y)
+    return Solution(ts, ys, nfev, 0)
 
 
 @dataclass(frozen=True)
@@ -160,16 +375,16 @@ def integrate_geodesic(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> GeodesicResult:
-    """Adaptive DOP853 integration with domain-boundary detection.
+    """Adaptive DOP853 integration (:func:`solve_ivp`) with domain-boundary
+    detection.
 
     ``initial`` is the state (u, v, x, du, dv, dx); a state of another
     length raises ValueError.  ``span`` may run backwards (t1 < t0) but both
-    ends must be finite and distinct.  On half-space charts the boundary
-    event u = DEFAULT_U_MIN is armed, and the start must lie above it: the
-    event fires only on a crossing.  A run whose :func:`transverse_phase`
-    exceeds MAX_PHASE raises :class:`TransversePhaseTooLarge` before any
-    step; a run the solver cannot finish raises
-    :class:`SolutionLeftFloatRange`.
+    ends must be finite and distinct.  On half-space charts the run stops
+    where u reaches DEFAULT_U_MIN, and the start must lie above that
+    level.  A run whose :func:`transverse_phase` exceeds MAX_PHASE raises
+    :class:`TransversePhaseTooLarge` before any step; a run the solver
+    cannot finish raises :class:`SolutionLeftFloatRange`.
     """
     if len(initial) != 6:
         raise ValueError(f"the initial state has {len(initial)} entries, not the six u, v, x, du, dv, dx")
@@ -188,47 +403,13 @@ def integrate_geodesic(
             f"transverse phase {phase:.4g} over span {tuple(span)} exceeds the work bound {MAX_PHASE:g}"
         )
 
-    events = []
-    if chart.half_space:
-
-        def boundary(t, y):
-            return y[0] - DEFAULT_U_MIN
-
-        boundary.terminal = True
-        events.append(boundary)
-
-    # a solution that leaves float range overflows inside the solver; that
-    # is reported below as SolutionLeftFloatRange, not as warnings on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            lambda t, y: geodesic_rhs(chart, y),
-            span,
-            np.array(state),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=events or None,
-            dense_output=False,
-        )
-
-    if sol.status == 1:
-        terminated = "hit_domain_boundary"
-        boundary_time = float(sol.t_events[0][0])
-    elif sol.status == 0:
-        terminated = "completed_span"
-        boundary_time = None
-    else:
-        raise SolutionLeftFloatRange(
-            f"the solver stopped at t = {sol.t[-1]:.6g} of span {tuple(span)} "
-            f"({sol.message}): the solution left float range"
-        )
-
+    sol = solve_ivp(chart, state, (float(span[0]), float(span[1])), rtol, atol)
     return GeodesicResult(
-        times=sol.t,
-        states=sol.y.T,
-        terminated=terminated,
-        nfev=int(sol.nfev),
-        boundary_time=boundary_time,
+        times=np.array(sol.t),
+        states=np.array(sol.y),
+        terminated="hit_domain_boundary" if sol.status == 1 else "completed_span",
+        nfev=sol.nfev,
+        boundary_time=sol.t_boundary,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-# the geodesic checks import .geodesics, and with it scipy, themselves
+# the geodesic checks import .geodesics themselves
 from .classifier import (
     class_from_b,
     classify,

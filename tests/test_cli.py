@@ -481,7 +481,7 @@ class TestGeodesic:
             assert payload["error"]["type"] == error_type, argv
 
     def test_unbounded_work_is_refused_within_a_second(self, capsys):
-        from lorentz3 import geodesics  # noqa: F401  (scipy loads before the clock)
+        from lorentz3 import geodesics  # noqa: F401  (the module loads before the clock)
 
         def expire(signum, frame):
             raise TimeoutError("still running after 1 s")

@@ -155,6 +155,81 @@ class TestIntegration:
                 Constant(1.0), (1, 0, 1e30, 1, 0, 0), (0.0, 290.0)
             )
 
+    @given(
+        st.sampled_from([PowerLaw(2.0), PowerLaw(-2.0), Constant(1.0), Constant(-1.0)]),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+        st.sampled_from([5.0, -5.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_states_give_finite_rows_or_a_named_refusal(self, chart, x, du, dx, end):
+        # Python's float / and ** raise where numpy gives inf or nan; with a
+        # huge derivative the first-step size underflows to 0, a divisor there
+        try:
+            res = geo.integrate_geodesic(chart, (1.0, 0.0, x, du, 0.3, dx), (0.0, end))
+        except (geo.SolutionLeftFloatRange, geo.TransversePhaseTooLarge):
+            return
+        assert np.isfinite(res.times).all() and np.isfinite(res.states).all()
+
+
+class TestKernel:
+    """The DOP853 tableau, and the integrator against scipy's DOP853."""
+
+    def test_tableau_conditions(self):
+        # a mistyped coefficient breaks one of these
+        assert [len(row) for row in geo._A[1:]] == [1, 2, 2, 3, 3, 4, 5, 6, 7, 8, 9]
+        for row, c in zip(geo._A[1:], geo._C, strict=True):
+            assert abs(sum(a for _, a in row) - c) <= 1e-14
+        nodes = (0.0, *geo._C)
+        for k in range(8):  # order 8: the quadrature is exact up to degree 7
+            assert abs(sum(b * nodes[j] ** k for j, b in geo._B) - 1.0 / (k + 1)) <= 1e-14
+        for weights in zip(*(e[1:] for e in geo._E)):
+            assert abs(sum(weights)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "chart", [PowerLaw(2.0), PowerLaw(-0.25), PowerLaw(-3.0), Constant(1.0), Constant(-1.0)], ids=str
+    )
+    def test_agrees_with_scipy_dop853(self, monkeypatch, chart):
+        # the runs a report rests on: samples into the boundary, d_v orbits
+        # to the horizon both ways, Constant samples over span 50.  The
+        # boundary end states are not compared: there a step to the crossing
+        # meets scipy's dense-output interpolant, and x ~ u^r at u = 1e-8
+        # magnifies their difference (up to 1.7e-6 relative)
+        integrate = pytest.importorskip("scipy.integrate")
+        runs = []
+        real = geo.integrate_geodesic
+
+        def recorded(*args):
+            runs.append((args, real(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(geo, "integrate_geodesic", recorded)
+        geo.completeness_report(chart, count=1, seed=28)
+
+        def boundary(t, y):
+            return y[0] - geo.DEFAULT_U_MIN
+
+        boundary.terminal = True
+        for (_, state, span), ours in runs:
+            ref = integrate.solve_ivp(
+                lambda t, y: geo.geodesic_rhs(chart, y.tolist()),
+                span,
+                state,
+                method="DOP853",
+                rtol=geo.DEFAULT_RTOL,
+                atol=geo.DEFAULT_ATOL,
+                events=[boundary] if chart.half_space else None,
+            )
+            assert abs(len(ours.times) - len(ref.t)) <= 1, (state, span)
+            assert ours.terminated == ("hit_domain_boundary" if ref.status == 1 else "completed_span")
+            if ref.status == 1:
+                assert abs(ours.boundary_time - ref.t_events[0][0]) <= 1e-12
+            else:
+                end = ref.y[:, -1]
+                assert np.all(np.abs(ours.states[-1] - end) <= 1e-12 * np.maximum(1.0, np.abs(end))), (state, span)
+
 
 class TestWorkBound:
     @pytest.mark.parametrize(

@@ -40,15 +40,17 @@ def test_package_reads_no_environment():
     assert not offenders, offenders
 
 
-def test_classify_and_curvature_do_not_load_scipy():
-    # scipy backs the geodesic layer only; a fresh interpreter shows what
-    # the other commands import
+def test_commands_do_not_load_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the
+    # commands import, the geodesic ones included
     code = (
         "import contextlib, io, sys\n"
         "from lorentz3.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['classify', '--b', '2']) == 0\n"
         "    assert main(['curvature', '--b', '2', '--point', '1,0,0']) == 0\n"
+        "    assert main(['geodesic', '--b', '2', '--family', 'timelike', '--count', '1']) == 0\n"
+        "    assert main(['geodesic', '--class', 'CahenWallachElliptic', '--init', '1,0,1,1,0,0']) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     out = subprocess.run(
@@ -72,31 +74,36 @@ def _imported_modules(tree: ast.AST):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _imports(paths, offending):
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.relative_to(SRC)}: {m}" for m in _imported_modules(tree) if offending(m.split("."))]
+    return offenders
+
+
 def test_closed_form_layer_never_imports_its_oracle():
     # findiff checks the closed forms; a closed form built on findiff would
     # make that comparison circular
-    offenders = []
-    for name in ("charts.py", "curvature.py", "killing.py", "transforms.py"):
-        path = SRC / "geometry" / name
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        if any("findiff" in module.split(".") for module in _imported_modules(tree)):
-            offenders.append(name)
+    paths = [SRC / "geometry" / name for name in ("charts.py", "curvature.py", "killing.py", "transforms.py")]
+    offenders = _imports(paths, lambda parts: "findiff" in parts)
+    assert not offenders, offenders
+
+
+def test_package_never_imports_scipy():
+    # the runtime dependency is numpy alone; scipy checks the integrator in
+    # the tests
+    offenders = _imports(sorted(SRC.rglob("*.py")), lambda parts: parts[0] == "scipy")
     assert not offenders, offenders
 
 
 def test_exact_and_tensor_layers_never_import_the_geodesic_layer():
-    # scipy backs geodesics.py only; the closed forms and the exact layer
-    # must stay importable, and fast to import, without it
+    # the closed forms and the exact layer must stay importable, and fast to
+    # import, without the integrator
     paths = sorted((SRC / "geometry").glob("*.py")) + [
         SRC / f"{name}.py" for name in ("lie_core", "metric_builder", "classifier")
     ]
-    offenders = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for module in _imported_modules(tree):
-            parts = module.split(".")
-            if parts[0] == "scipy" or "geodesics" in parts:
-                offenders.append(f"{path.relative_to(SRC)}: {module}")
+    offenders = _imports(paths, lambda parts: "geodesics" in parts)
     assert not offenders, offenders
 
 
