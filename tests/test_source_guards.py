@@ -144,3 +144,24 @@ def test_benchmark_oracle_counter_counts_stencils(monkeypatch):
         assert workloads.run_op(op).fd is not None
     assert recorder.totals["geometry.findiff.partial_derivative"].calls == 2
     assert recorder.totals["geometry.findiff.riemann_fd"].calls == 1
+
+
+def test_benchmark_step_counter_reads_the_records(monkeypatch):
+    # the traced run counts steps and integrations off the records that
+    # solve_ivp and integrate_geodesic return; a renamed field still
+    # resolves as a trace target but breaks every traced geodesic op
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    import layers
+    import spans
+
+    from lorentz3 import geodesics
+    from lorentz3.geometry import PowerLaw
+
+    recorder, counters = spans.Recorder(store_spans=False), layers.Counters()
+    with spans.patched(layers.replacements(recorder, counters)):
+        report = geodesics.completeness_report(PowerLaw(2.0), ("timelike", "dv_orbit"), count=2, seed=3)
+    records = [rec for fam in report["verdicts"].values() for rec in fam["details"]]
+    # a timelike sample hits u -> 0 on its first run, a d_v orbit runs both ways
+    assert counters.integrations == recorder.totals["geodesics.integrate_geodesic"].calls == 2 + 2 * 2
+    assert counters.steps == sum(rec["nsteps"] for rec in records) > 0
+    assert counters.boundary_hits == sum("boundary_affine_time" in rec for rec in records) == 2
