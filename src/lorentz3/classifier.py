@@ -172,12 +172,12 @@ def space_report(a: Derivation, rationalized_input: bool = False) -> dict:
         report["normalization"].update(scale=str(scale), time_reversed=scale < 0)
     w = standard_isotropy_for(a)
     report["invariant_metric"] = {
-        "yprime_in_heis": [str(c) for c in a.apply(w.heis_coefficients)],
+        "yprime_in_heis": [str(c) for c in a.apply(w)],
         "gram": [[str(e) for e in row] for row in build_invariant_metric(a, w)],
         # every Gram matrix built there is [[0, 0, c], [0, 1, 0], [c, 0, 0]]
         # with c = 1/kappa != 0, a hyperbolic (T, Z) pair and a spacelike Y';
         # acceptance-04 and the tests compute this with metric_builder.signature
         "signature": {"plus": 2, "minus": 1, "zero": 0},
-        "isotropy_generator": [str(c) for c in w.heis_coefficients],
+        "isotropy_generator": [str(c) for c in w],
     }
     return report

@@ -7,8 +7,11 @@ Basis conventions, fixed once for the whole package:
   ``Z`` spans the center.
 * A derivation is stored as a 3x3 matrix of rationals whose column ``j``
   holds the ``(Z, X, Y)``-components of the image of the j-th basis vector.
-* Extension algebras use basis order ``(Z, X, Y, T)`` where ``[T, W] = A(W)``
-  for ``W`` in heis.
+* An extension of heis by a derivation A is its table of structure
+  constants ``c[i][j][k]``, the e_k-coefficient of ``[e_i, e_j]`` in basis
+  order ``(Z, X, Y, T)``, with ``[T, W] = A(W)`` for ``W`` in heis.
+* An isotropy generator ``W = gamma Z + alpha X + beta Y`` is the triple
+  ``(gamma, alpha, beta)``; it is non-central when ``(alpha, beta) != 0``.
 
 Everything in this module is exact: entries are ``fractions.Fraction`` and
 there are no tolerances.  Float input is rationalized once, at the boundary,
@@ -218,9 +221,8 @@ class Derivation:
     def discriminant_quotient(self) -> Fraction:
         return self.trace_quotient**2 - 4 * self.det_quotient
 
-    def apply(self, vec: Sequence) -> Vec3:
-        v = [as_rational(c)[0] for c in vec]
-        return tuple(sum(self.matrix[i][j] * v[j] for j in range(3)) for i in range(3))
+    def apply(self, vec: Sequence[Fraction]) -> Vec3:
+        return tuple(_dot(row, vec) for row in self.matrix)
 
     def scaled(self, factor) -> "Derivation":
         s, _ = as_rational(factor)
@@ -237,31 +239,6 @@ class Derivation:
 
     def to_json(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.matrix]
-
-
-@dataclass(frozen=True)
-class IsotropyChoice:
-    """Coefficients (gamma, alpha, beta) of W = gamma Z + alpha X + beta Y.
-
-    W must be non-central: (alpha, beta) != (0, 0).
-    """
-
-    gamma: Fraction
-    alpha: Fraction
-    beta: Fraction
-
-    @classmethod
-    def of(cls, gamma, alpha, beta) -> "IsotropyChoice":
-        g, _ = as_rational(gamma)
-        a, _ = as_rational(alpha)
-        b, _ = as_rational(beta)
-        if a == 0 and b == 0:
-            raise ValueError("isotropy generator must be non-central")
-        return cls(g, a, b)
-
-    @property
-    def heis_coefficients(self) -> Vec3:
-        return (self.gamma, self.alpha, self.beta)
 
 
 def is_derivation(matrix) -> bool:
@@ -287,56 +264,27 @@ def is_homothety_on_quotient(a: Derivation) -> bool:
 # Extension algebras
 # ---------------------------------------------------------------------------
 
-Constants = tuple  # c[i][j][k], 4x4x4 nested tuples of Fraction
+Constants = tuple  # c[i][j][k], 4x4x4 nested tuples of Fraction, antisymmetric in (i, j)
 
 
-@dataclass(frozen=True)
-class ExtensionAlgebra:
-    """Structure constants of heis extended by T, basis order (Z, X, Y, T).
-
-    ``constants[i][j][k]`` is the e_k-coefficient of [e_i, e_j]; the table is
-    antisymmetric in (i, j).
-    """
-
-    constants: Constants
-
-    def bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.constants[i][j]
-
-    def bracket_vectors(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] == 0:
-                    continue
-                coef = a[i] * b[j]
-                for k in range(4):
-                    out[k] += coef * self.constants[i][j][k]
-        return tuple(out)
-
-
-def extend_algebra(a: Derivation) -> ExtensionAlgebra:
-    """Adjoin T with [T, W] = A(W); Heisenberg sub-block is fixed."""
+def extend_algebra(a: Derivation) -> Constants:
+    """Structure constants of heis extended by T with [T, W] = A(W); the
+    Heisenberg sub-block is fixed."""
     if not is_derivation(a):
         raise ValueError("not a derivation; refusing to build an extension")
-    zero4 = (Fraction(0),) * 4
-    table = [[list(zero4) for _ in range(4)] for _ in range(4)]
+    zero = Fraction(0)
+    table = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
     table[X][Y][Z] = Fraction(1)
     table[Y][X][Z] = Fraction(-1)
     for w in (Z, X, Y):
-        img = [a.matrix[i][w] for i in range(3)]
         for k in range(3):
-            table[T][w][k] = img[k]
-            table[w][T][k] = -img[k]
-    frozen = tuple(tuple(tuple(vec) for vec in row) for row in table)
-    return ExtensionAlgebra(frozen)
+            table[T][w][k] = a.matrix[k][w]
+            table[w][T][k] = -a.matrix[k][w]
+    return tuple(tuple(tuple(vec) for vec in row) for row in table)
 
 
-def jacobi_residual(alg: ExtensionAlgebra) -> Fraction:
+def jacobi_residual(c: Constants) -> Fraction:
     """Max-norm over basis triples of the cyclic sum [ei,[ej,ek]] + cycl."""
-    c = alg.constants
     worst = Fraction(0)
     for i, j, k in itertools.combinations(range(4), 3):
         for l in range(4):

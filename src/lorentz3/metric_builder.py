@@ -1,21 +1,26 @@
 """Existence and construction of the invariant Lorentz metric on the
 quotient of an extension group by a non-central one-parameter subgroup.
 
-Given a derivation ``A`` and a non-central isotropy generator
-``W = gamma Z + alpha X + beta Y``, the quotient carries an invariant
-Lorentz metric exactly when the class of ``W`` in heis/Z is *not* an
-eigenvector of the induced quotient action -- equivalently, when ``ad_W``
-acting modulo ``W`` is nilpotent of order exactly 3.  The first criterion
-decides; the second (:func:`_nilpotency_order_mod_w`) is the reference the
-verify registry and the tests compare it with.
+Given a derivation ``A`` with quotient action A-bar = [[p, q], [r, s]] on
+heis/Z and a non-central isotropy generator ``W = gamma Z + alpha X +
+beta Y``, the triple ``(gamma, alpha, beta)``, the quotient carries an
+invariant Lorentz metric exactly when the class ``(alpha, beta)`` of ``W``
+in heis/Z is *not* an eigenvector of A-bar, that is when
+
+    kappa = alpha (r alpha + s beta) - beta (p alpha + q beta) != 0,
+
+the determinant of the class and its image under A-bar.  Equivalently,
+``ad_W`` acting modulo ``W`` is nilpotent of order exactly 3.  The first
+criterion decides; the second (:func:`_nilpotency_order_mod_w`) is the
+reference the verify registry and the tests compare it with.
 
 When the metric exists, it is represented on the ad_W-invariant complement
 ``m = span(T, Y', Z)`` with ``Y' = A(W)``.  On that basis::
 
     ad_W : T -> -Y',   Y' -> kappa Z,   Z -> 0
 
-with ``kappa = alpha * beta' - beta * alpha'`` (primes: components of
-``A(W)``), and skew-invariance pins the Gram matrix down to the family
+so kappa is the Z-coefficient of [W, A(W)], and skew-invariance pins the
+Gram matrix down to the family
 
     g(Y', Y') = s,   g(T, Z) = s / kappa,   g(T, T) = t,   s > 0,
 
@@ -32,76 +37,79 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lie_core import (
+    X,
+    Y,
     Derivation,
-    IsotropyChoice,
+    Vec3,
     _mat_mul,
     # perfbench/layers.py traces this name in this module.
     extend_algebra,
     is_derivation,
 )
 
+# the isotropy classes X + Y, X and Y that standard_isotropy_for tries
+_X_PLUS_Y = (Fraction(0), Fraction(1), Fraction(1))
+_X_ONLY = (Fraction(0), Fraction(1), Fraction(0))
+_Y_ONLY = (Fraction(0), Fraction(0), Fraction(1))
+
 
 class NoInvariantMetric(ValueError):
     """No invariant Lorentz metric exists for the given data."""
 
 
-def _quotient_image(a: Derivation, w: IsotropyChoice) -> tuple[Fraction, Fraction]:
-    """(X, Y)-components of A(W)."""
-    img = a.apply(w.heis_coefficients)
-    return img[1], img[2]
+def _refuse_central(w: Vec3) -> None:
+    if w[1] == 0 and w[2] == 0:
+        raise ValueError("isotropy generator must be non-central")
 
 
-def twist_coefficient(a: Derivation, w: IsotropyChoice) -> Fraction:
-    """kappa = Z-coefficient of [W, A(W)]; nonzero iff the metric exists."""
-    ap, bp = _quotient_image(a, w)
-    return w.alpha * bp - w.beta * ap
+def twist_coefficient(a: Derivation, w: Vec3) -> Fraction:
+    """kappa = alpha (r alpha + s beta) - beta (p alpha + q beta) for
+    A-bar = [[p, q], [r, s]]; nonzero iff the metric exists."""
+    _, alpha, beta = w
+    (p, q), (r, s) = a.quotient_block
+    return alpha * (r * alpha + s * beta) - beta * (p * alpha + q * beta)
 
 
-def _nilpotency_order_mod_w(a: Derivation, w: IsotropyChoice) -> int:
+def _nilpotency_order_mod_w(a: Derivation, w: Vec3) -> int:
     """Order of ad_W acting on the 4-dim extension modulo the line R W.
 
-    Brute-force reference for the eigenvector criterion: computes the
-    induced nilpotent map on a complement of R W and finds the least n
-    with (ad_W mod W)^n = 0.
+    Brute-force reference for the eigenvector criterion: reads ad_W off
+    the structure constants, reduces it to a complement of R W and finds
+    the least n with (ad_W mod W)^n = 0.
     """
-    alg = extend_algebra(a)
-    wvec = list(w.heis_coefficients) + [Fraction(0)]
-
-    # Complement basis: drop X if alpha != 0, else drop Y (W is non-central).
-    drop = 1 if w.alpha != 0 else 2
+    _refuse_central(w)
+    c = extend_algebra(a)
+    wvec = (*w, Fraction(0))
+    # Complement basis: drop X if alpha != 0, else drop Y.
+    drop = X if w[1] != 0 else Y
     keep = [i for i in range(4) if i != drop]
-
-    def reduce_mod_w(vec4):
-        # subtract the multiple of W that kills the dropped coordinate
-        coef = vec4[drop] / wvec[drop]
-        return [vec4[i] - coef * wvec[i] for i in range(4)]
-
     cols = []
     for j in keep:
-        e = [Fraction(0)] * 4
-        e[j] = Fraction(1)
-        img = alg.bracket_vectors(wvec, e)
-        red = reduce_mod_w(list(img))
-        cols.append([red[i] for i in keep])
-    m = [[cols[j][i] for j in range(3)] for i in range(3)]
+        # ad_W e_j = sum_i W_i [e_i, e_j]; subtract the multiple of W that
+        # kills the dropped coordinate
+        img = [sum(wvec[i] * c[i][j][k] for i in range(4)) for k in range(4)]
+        coef = img[drop] / wvec[drop]
+        cols.append([img[k] - coef * wvec[k] for k in keep])
+    m = tuple(zip(*cols))
 
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+    power = m
     for order in range(1, 5):
-        power = _mat_mul(power, m)
-        if all(e == 0 for row in power for e in row):
+        if not any(e for row in power for e in row):
             return order
+        power = _mat_mul(power, m)
     raise ArithmeticError("ad_W mod W is not nilpotent; impossible for heis data")
 
 
-def admits_metric(a: Derivation, w: IsotropyChoice) -> bool:
+def admits_metric(a: Derivation, w: Vec3) -> bool:
     """True iff the quotient by exp(t W) carries an invariant Lorentz metric.
 
     Decided by the eigenvector criterion on heis/Z.  Its agreement with the
     nilpotency order of ad_W modulo W is checked by ``metric-criteria-agree``
-    and the tests, not on every call.
+    and the tests, not on every call.  A central W raises ValueError.
     """
     if not is_derivation(a):
         raise ValueError("not a derivation")
+    _refuse_central(w)
     return twist_coefficient(a, w) != 0
 
 
@@ -145,11 +153,12 @@ def signature(gram) -> tuple[int, int, int]:
     return plus, minus, zero
 
 
-def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> tuple[tuple[Fraction, ...], ...]:
+def build_invariant_metric(a: Derivation, w: Vec3) -> tuple[tuple[Fraction, ...], ...]:
     """Gram matrix of the normalized invariant metric (scale 1, g(T, T) = 0)
     in the basis (T, Y', Z) of m, Y' = A(W).
 
-    Raises NoInvariantMetric when the eigenvector criterion fails.
+    Raises NoInvariantMetric when the eigenvector criterion fails and
+    ValueError, from :func:`admits_metric`, for a central W.
     """
     if not admits_metric(a, w):
         raise NoInvariantMetric(
@@ -164,7 +173,7 @@ def build_invariant_metric(a: Derivation, w: IsotropyChoice) -> tuple[tuple[Frac
     )
 
 
-def ad_w_matrix_on_m(a: Derivation, w: IsotropyChoice):
+def ad_w_matrix_on_m(a: Derivation, w: Vec3):
     """Matrix of ad_W on m in the (T, Y', Z) basis: T -> -Y', Y' -> kappa Z."""
     kappa = twist_coefficient(a, w)
     zero = Fraction(0)
@@ -198,7 +207,7 @@ def has_transverse_subalgebra(a: Derivation) -> bool:
     return a.discriminant_quotient >= 0
 
 
-def standard_isotropy_for(a: Derivation) -> IsotropyChoice:
+def standard_isotropy_for(a: Derivation) -> Vec3:
     """A non-central W with admits_metric, matching the tabulated choices:
     X + Y when the quotient spectrum is real and simple (disc > 0), Y when
     it is repeated (disc = 0: parabolic or nilpotent), X when it is not
@@ -213,9 +222,8 @@ def standard_isotropy_for(a: Derivation) -> IsotropyChoice:
     if not is_derivation(a):
         raise ValueError("not a derivation")
     disc = a.discriminant_quotient
-    preferred = (0, 1, 1) if disc > 0 else (0, 0, 1) if disc == 0 else (0, 1, 0)
-    for g, al, be in (preferred, (0, 1, 1), (0, 1, 0), (0, 0, 1)):
-        w = IsotropyChoice.of(g, al, be)
+    preferred = _X_PLUS_Y if disc > 0 else _Y_ONLY if disc == 0 else _X_ONLY
+    for w in (preferred, _X_PLUS_Y, _X_ONLY, _Y_ONLY):
         if twist_coefficient(a, w) != 0:
             return w
     raise NoInvariantMetric(

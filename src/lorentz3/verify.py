@@ -54,7 +54,6 @@ from .geometry.findiff import (
 )
 from .lie_core import (
     Derivation,
-    IsotropyChoice,
     compose_automorphisms,
     conjugate_derivation,
     diagonal_automorphism,
@@ -239,12 +238,12 @@ def _b_invariant_correspondence():
 @check("acceptance-04-metric-construction", "metric")
 def _metric_construction():
     cases = [
-        ("hyperbolic b=2", Derivation.hyperbolic_diag(2), IsotropyChoice.of(0, 1, 1), Fraction(1, 1)),
-        ("parabolic", Derivation.parabolic(), IsotropyChoice.of(0, 0, 1), Fraction(-1)),
-        ("elliptic c=1", Derivation.elliptic(1), IsotropyChoice.of(0, 1, 0), Fraction(1)),
-        ("nilpotent", Derivation.nilpotent(), IsotropyChoice.of(0, 0, 1), Fraction(-1)),
-        ("unimodular hyperbolic", Derivation.cw_hyperbolic(), IsotropyChoice.of(0, 1, 1), Fraction(-1, 2)),
-        ("unimodular elliptic", Derivation.cw_elliptic(), IsotropyChoice.of(0, 1, 0), Fraction(1)),
+        ("hyperbolic b=2", Derivation.hyperbolic_diag(2), (0, 1, 1), Fraction(1, 1)),
+        ("parabolic", Derivation.parabolic(), (0, 0, 1), Fraction(-1)),
+        ("elliptic c=1", Derivation.elliptic(1), (0, 1, 0), Fraction(1)),
+        ("nilpotent", Derivation.nilpotent(), (0, 0, 1), Fraction(-1)),
+        ("unimodular hyperbolic", Derivation.cw_hyperbolic(), (0, 1, 1), Fraction(-1, 2)),
+        ("unimodular elliptic", Derivation.cw_elliptic(), (0, 1, 0), Fraction(1)),
     ]
     problems = []
     for label, a, w, g_tz in cases:
@@ -483,7 +482,7 @@ def _metric_criteria_agree():
         if alpha == 0 and beta == 0:
             continue
         trials += 1
-        w = IsotropyChoice.of(gamma, alpha, beta)
+        w = (gamma, alpha, beta)
         by_eigenvector = twist_coefficient(a, w) != 0
         if admits_metric(a, w) != by_eigenvector:
             return False, f"admits_metric departs from the eigenvector criterion for {a.matrix}, W={w}"
@@ -563,9 +562,11 @@ def _flags_vs_geometry():
             problems.append(f"{label}: locally_symmetric flag vs del R = {nr:.2e}")
         if flags["transverse_3d_group"] != has_transverse_subalgebra(a):
             problems.append(f"{label}: transverse_3d_group flag vs quotient spectrum")
+        if flags["symmetric"] != (a.trace_quotient == 0):
+            problems.append(f"{label}: symmetric flag vs tr(A-bar) = {a.trace_quotient}")
     if problems:
         return False, "; ".join(problems)
     return True, (
-        "flat, locally_symmetric and transverse_3d_group flags match chart curvature, "
-        "del R and the quotient spectrum on every class"
+        "flat, locally_symmetric, transverse_3d_group and symmetric flags match chart curvature, "
+        "del R, the quotient spectrum and unimodularity on every class"
     )

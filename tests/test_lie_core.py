@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from lorentz3.lie_core import (
     Derivation,
-    ExtensionAlgebra,
     HomothetyInput,
-    IsotropyChoice,
     UnimodularInput,
     _mat_mul,
     as_rational,
@@ -28,19 +26,18 @@ from lorentz3.lie_core import (
 Z, X, Y, T = 0, 1, 2, 3
 
 
-def direct_sum_abelian() -> ExtensionAlgebra:
+def direct_sum_abelian():
     """The abelian R^4 constants (all brackets zero)."""
-    zero4 = (Fraction(0),) * 4
-    return ExtensionAlgebra(tuple(tuple(zero4 for _ in range(4)) for _ in range(4)))
+    return [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
 
 
-def with_constant(alg: ExtensionAlgebra, i: int, j: int, k: int, value) -> ExtensionAlgebra:
-    """Copy of alg with c[i][j][k] = value and c[j][i][k] = -value."""
+def with_constant(c, i: int, j: int, k: int, value):
+    """Copy of the table c with c[i][j][k] = value and c[j][i][k] = -value."""
     v, _ = as_rational(value)
-    table = [[list(vec) for vec in row] for row in alg.constants]
+    table = [[list(vec) for vec in row] for row in c]
     table[i][j][k] = v
     table[j][i][k] = -v
-    return ExtensionAlgebra(tuple(tuple(tuple(vec) for vec in row) for row in table))
+    return table
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -104,22 +101,22 @@ class TestAsRational:
 class TestExtendAlgebra:
     def test_parabolic_brackets(self):
         alg = extend_algebra(Derivation.parabolic())
-        assert alg.bracket(T, Z) == (2, 0, 0, 0)
-        assert alg.bracket(T, X) == (0, 1, 0, 0)
-        assert alg.bracket(T, Y) == (0, 1, 1, 0)
-        assert alg.bracket(X, Y) == (1, 0, 0, 0)
+        assert alg[T][Z] == (2, 0, 0, 0)
+        assert alg[T][X] == (0, 1, 0, 0)
+        assert alg[T][Y] == (0, 1, 1, 0)
+        assert alg[X][Y] == (1, 0, 0, 0)
 
     def test_zero_derivation_gives_direct_sum(self):
         alg = extend_algebra(Derivation.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]]))
         for w in (Z, X, Y):
-            assert alg.bracket(T, w) == (0, 0, 0, 0)
-        assert alg.bracket(X, Y) == (1, 0, 0, 0)
+            assert alg[T][w] == (0, 0, 0, 0)
+        assert alg[X][Y] == (1, 0, 0, 0)
 
     def test_elliptic_brackets(self):
         alg = extend_algebra(Derivation.elliptic(1))
-        assert alg.bracket(T, X) == (0, 1, 1, 0)   # Y + cX with c = 1
-        assert alg.bracket(T, Y) == (0, -1, 1, 0)  # -X + cY
-        assert alg.bracket(T, Z) == (2, 0, 0, 0)
+        assert alg[T][X] == (0, 1, 1, 0)   # Y + cX with c = 1
+        assert alg[T][Y] == (0, -1, 1, 0)  # -X + cY
+        assert alg[T][Z] == (2, 0, 0, 0)
 
     def test_rejects_non_derivation(self):
         with pytest.raises(ValueError):
@@ -261,13 +258,3 @@ class TestAutomorphisms:
         assert is_derivation(shifted)
         assert shifted.quotient_block == a.quotient_block
         assert shifted.matrix != a.matrix
-
-
-class TestIsotropyChoice:
-    def test_central_rejected(self):
-        with pytest.raises(ValueError):
-            IsotropyChoice.of(1, 0, 0)
-
-    def test_coefficients(self):
-        w = IsotropyChoice.of("1/2", 1, -2)
-        assert w.heis_coefficients == (Fraction(1, 2), Fraction(1), Fraction(-2))

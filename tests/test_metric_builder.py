@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz3.lie_core import (
+    Z,
     Derivation,
-    IsotropyChoice,
     compose_automorphisms,
     conjugate_derivation,
     diagonal_automorphism,
+    extend_algebra,
     inner_automorphism,
     is_homothety_on_quotient,
     rotation_scale_automorphism,
@@ -66,37 +67,52 @@ isotropy = st.builds(
 class TestAdmitsMetric:
     def test_generic_direction_works_for_diagonal_action(self):
         a = Derivation.hyperbolic_diag(2)
-        assert admits_metric(a, IsotropyChoice.of(0, 1, 1))
+        assert admits_metric(a, (0, 1, 1))
 
     def test_eigenvector_direction_fails(self):
         a = Derivation.hyperbolic_diag(2)
-        assert not admits_metric(a, IsotropyChoice.of(0, 1, 0))
+        assert not admits_metric(a, (0, 1, 0))
 
     def test_every_direction_works_for_rotations(self):
-        assert admits_metric(Derivation.elliptic(1), IsotropyChoice.of(0, 1, 0))
+        assert admits_metric(Derivation.elliptic(1), (0, 1, 0))
 
     def test_zero_quotient_block_never_admits(self):
         a = Derivation.inner(1, -2)
         for w in ((0, 1, 0), (0, 0, 1), (0, 1, 1), (2, 1, -1)):
-            assert not admits_metric(a, IsotropyChoice.of(*w))
+            assert not admits_metric(a, w)
 
     @given(derivations, isotropy)
     @settings(max_examples=80)
     def test_criteria_agree_on_random_data(self, a, w):
         # the eigenvector test that admits_metric decides by, against the
         # brute-force nilpotency order of ad_W modulo W
-        choice = IsotropyChoice.of(*w)
-        by_eigenvector = twist_coefficient(a, choice) != 0
-        assert admits_metric(a, choice) == by_eigenvector
-        assert by_eigenvector == (_nilpotency_order_mod_w(a, choice) == 3)
+        by_eigenvector = twist_coefficient(a, w) != 0
+        assert admits_metric(a, w) == by_eigenvector
+        assert by_eigenvector == (_nilpotency_order_mod_w(a, w) == 3)
+
+    @given(derivations, isotropy)
+    @settings(max_examples=80)
+    def test_twist_is_the_z_coefficient_of_w_bracket_a_w(self, a, w):
+        # the closed form on A-bar against sum_ij W_i A(W)_j c[i][j][Z] read
+        # off the structure constants
+        c = extend_algebra(a)
+        wvec, awvec = (*w, 0), (*a.apply(w), 0)
+        bracket_z = sum(wvec[i] * awvec[j] * c[i][j][Z] for i in range(4) for j in range(4))
+        assert twist_coefficient(a, w) == bracket_z
+
+    def test_central_generator_refused(self):
+        a = Derivation.hyperbolic_diag(2)
+        for call in (admits_metric, build_invariant_metric, _nilpotency_order_mod_w):
+            with pytest.raises(ValueError, match="non-central"):
+                call(a, (1, 0, 0))
 
 
 class TestBuildInvariantMetric:
     def test_hyperbolic_table(self):
         a = Derivation.hyperbolic_diag(2)
-        w = IsotropyChoice.of(0, 1, 1)
+        w = (0, 1, 1)
         gram = build_invariant_metric(a, w)
-        assert a.apply(w.heis_coefficients) == (0, 1, 2)  # Y' = X + bY
+        assert a.apply(w) == (0, 1, 2)  # Y' = X + bY
         assert gram[1][1] == 1
         assert gram[0][2] == 1  # 1/(b-1) at b = 2
         assert gram[0][0] == 0 and gram[2][2] == 0 and gram[0][1] == 0
@@ -104,45 +120,44 @@ class TestBuildInvariantMetric:
 
     def test_hyperbolic_general_b(self):
         a = Derivation.hyperbolic_diag(3)
-        gram = build_invariant_metric(a, IsotropyChoice.of(0, 1, 1))
+        gram = build_invariant_metric(a, (0, 1, 1))
         assert gram[0][2] == Fraction(1, 2)  # 1/(b-1)
 
     def test_parabolic_table(self):
-        a, w = Derivation.parabolic(), IsotropyChoice.of(0, 0, 1)
-        assert a.apply(w.heis_coefficients) == (0, 1, 1)  # Y' = X + Y
+        a, w = Derivation.parabolic(), (0, 0, 1)
+        assert a.apply(w) == (0, 1, 1)  # Y' = X + Y
         assert build_invariant_metric(a, w)[0][2] == -1
 
     def test_elliptic_table(self):
-        a, w = Derivation.elliptic(1), IsotropyChoice.of(0, 1, 0)
-        assert a.apply(w.heis_coefficients) == (0, 1, 1)  # Y' = Y + cX at c = 1
+        a, w = Derivation.elliptic(1), (0, 1, 0)
+        assert a.apply(w) == (0, 1, 1)  # Y' = Y + cX at c = 1
         assert build_invariant_metric(a, w)[0][2] == 1
 
     def test_nilpotent_table(self):
-        a, w = Derivation.nilpotent(), IsotropyChoice.of(0, 0, 1)
-        assert a.apply(w.heis_coefficients) == (0, 1, 0)  # Y' = X
+        a, w = Derivation.nilpotent(), (0, 0, 1)
+        assert a.apply(w) == (0, 1, 0)  # Y' = X
         assert build_invariant_metric(a, w)[0][2] == -1
 
     def test_unimodular_hyperbolic_table(self):
-        gram = build_invariant_metric(Derivation.cw_hyperbolic(), IsotropyChoice.of(0, 1, 1))
+        gram = build_invariant_metric(Derivation.cw_hyperbolic(), (0, 1, 1))
         assert gram[0][2] == Fraction(-1, 2)
 
     def test_unimodular_elliptic_table(self):
-        gram = build_invariant_metric(Derivation.cw_elliptic(), IsotropyChoice.of(0, 1, 0))
+        gram = build_invariant_metric(Derivation.cw_elliptic(), (0, 1, 0))
         assert gram[0][2] == 1
 
     def test_rejects_eigenvector_isotropy(self):
         with pytest.raises(NoInvariantMetric):
-            build_invariant_metric(Derivation.hyperbolic_diag(2), IsotropyChoice.of(0, 1, 0))
+            build_invariant_metric(Derivation.hyperbolic_diag(2), (0, 1, 0))
 
     @given(derivations, isotropy)
     @settings(max_examples=60)
     def test_signature_and_skew_on_random_admissible_data(self, a, w):
-        choice = IsotropyChoice.of(*w)
-        if not admits_metric(a, choice):
+        if not admits_metric(a, w):
             return
-        gram = build_invariant_metric(a, choice)
+        gram = build_invariant_metric(a, w)
         assert signature(gram) == (2, 1, 0)
-        assert skew_residual(gram, ad_w_matrix_on_m(a, choice)) == 0
+        assert skew_residual(gram, ad_w_matrix_on_m(a, w)) == 0
 
 
 class TestSignature:
@@ -163,13 +178,13 @@ class TestSignature:
 class TestSkewResidual:
     def test_constructed_metric_is_exactly_invariant(self):
         a = Derivation.hyperbolic_diag(2)
-        w = IsotropyChoice.of(0, 1, 1)
+        w = (0, 1, 1)
         gram = build_invariant_metric(a, w)
         assert skew_residual(gram, ad_w_matrix_on_m(a, w)) == 0
 
     def test_corrupted_gram_detected(self):
         a = Derivation.hyperbolic_diag(2)
-        w = IsotropyChoice.of(0, 1, 1)
+        w = (0, 1, 1)
         bad = [list(r) for r in build_invariant_metric(a, w)]
         bad[2][2] = Fraction(1)  # g(Z, Z) = 1
         # the (Y', Z) pair evaluates to kappa * g(Z, Z) = (b - 1) * 1 = 1
@@ -177,7 +192,7 @@ class TestSkewResidual:
         assert skew_residual(bad, ad_w_matrix_on_m(a, w)) == abs(kappa) == 1
 
     def test_zero_ad_map(self):
-        gram = build_invariant_metric(Derivation.parabolic(), IsotropyChoice.of(0, 0, 1))
+        gram = build_invariant_metric(Derivation.parabolic(), (0, 0, 1))
         zero = ((Fraction(0),) * 3,) * 3
         assert skew_residual(gram, zero) == 0
 
@@ -195,10 +210,10 @@ class TestTransverseSubalgebra:
 
 class TestStandardIsotropy:
     def test_matches_tabulated_choices(self):
-        assert standard_isotropy_for(Derivation.hyperbolic_diag(2)).heis_coefficients == (0, 1, 1)
-        assert standard_isotropy_for(Derivation.parabolic()).heis_coefficients == (0, 0, 1)
-        assert standard_isotropy_for(Derivation.elliptic(1)).heis_coefficients == (0, 1, 0)
-        assert standard_isotropy_for(Derivation.nilpotent()).heis_coefficients == (0, 0, 1)
+        assert standard_isotropy_for(Derivation.hyperbolic_diag(2)) == (0, 1, 1)
+        assert standard_isotropy_for(Derivation.parabolic()) == (0, 0, 1)
+        assert standard_isotropy_for(Derivation.elliptic(1)) == (0, 1, 0)
+        assert standard_isotropy_for(Derivation.nilpotent()) == (0, 0, 1)
 
     def test_homothety_has_no_choice(self):
         with pytest.raises(NoInvariantMetric):
@@ -217,5 +232,5 @@ class TestStandardIsotropy:
                 standard_isotropy_for(a)
             return
         w = standard_isotropy_for(a)
-        assert w.heis_coefficients in ((0, 1, 1), (0, 1, 0), (0, 0, 1))
+        assert w in ((0, 1, 1), (0, 1, 0), (0, 0, 1))
         assert admits_metric(a, w)

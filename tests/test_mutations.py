@@ -10,11 +10,9 @@ Sayward, "Hints on test data selection: help for the practicing
 programmer", IEEE Computer 11 (1978).
 
 Known blind defects have no row, and no expected-failure row either: a row
-lands with the check that catches its defect.  Both stay open in ROADMAP
-items 1 and 5.
+lands with the check that catches its defect.  The one below stays open
+in ROADMAP items 1 and 5.
 
-* ``flags.symmetric`` false for every class: ``verify`` still passes.  Only
-  the tests catch it (``test_classifier.py`` and ``test_cli.py``).
 * ``flags.complete`` true for every class: no check compares the flag with
   a geodesic verdict.
 """
@@ -22,6 +20,7 @@ items 1 and 5.
 import contextlib
 import dataclasses
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -47,6 +46,21 @@ COMPLETE = "geodesically complete only if symmetric"
 
 def _inverted(real):
     return lambda *args: not real(*args)
+
+
+def _negated(real):
+    return lambda *args: -real(*args)
+
+
+def _tz_bracket_zeroed(real):
+    """The structure constants with [T, Z] = [Z, T] = 0 whatever A(Z) is."""
+
+    def mutant(a):
+        c = [[list(vec) for vec in row] for row in real(a)]
+        c[lie_core.T][lie_core.Z] = c[lie_core.Z][lie_core.T] = [Fraction(0)] * 4
+        return c
+
+    return mutant
 
 
 def _doubled_scale(real):
@@ -186,8 +200,14 @@ ROWS = [
      (FLAGS,), NOT_A_GROUP),
     ("compact-model-inverted", classifier, "report_from_class", _flag_inverted("compact_model"),
      ("acceptance-08-compact-model-verdicts",), COMPACT),
+    ("symmetric-inverted", classifier, "report_from_class", _flag_inverted("symmetric"),
+     (FLAGS,), COMPLETE),
     ("admits-metric-inverted", metric_builder, "admits_metric", _inverted,
      ("metric-criteria-agree",), CLASSES),
+    ("twist-coefficient-negated", metric_builder, "twist_coefficient", _negated,
+     ("acceptance-04-metric-construction",), CLASSES),
+    ("tz-bracket-zeroed", lie_core, "extend_algebra", _tz_bracket_zeroed,
+     ("lie-jacobi-zero-on-families",), CLASSES),
     # tensor layer
     ("gamma-x-uv-added", curvature, "_BRINKMANN_GAMMA", _entries_added(((Xc, U, V), _h_x), ((Xc, V, U), _h_x)),
      (DEL_R, ORACLE), SYMMETRIC),
@@ -232,11 +252,9 @@ NAMED = {check for row in ROWS for check in row[4]}
 UNROWED = {
     "acceptance-01-flatness-dichotomy",
     "acceptance-03-b-invariant-correspondence",
-    "acceptance-04-metric-construction",
     "acceptance-05-killing-suite",
     "acceptance-06-incompleteness",
     "acceptance-10-sectional-blowup",
-    "lie-jacobi-zero-on-families",
     "lie-normalize-idempotent",
 }
 

@@ -123,7 +123,7 @@ def test_every_flag_names_its_check_or_says_it_has_none():
             assert "No verify check compares this flag" in prop["description"], flag
             unchecked.add(flag)
     # shrink this set as checks land; a flag may not lose its check silently
-    assert unchecked == {"symmetric", "complete"}
+    assert unchecked == {"complete"}
 
 
 def test_retired_fields_are_refused(schema_validator):

@@ -107,6 +107,14 @@ def test_exact_and_tensor_layers_never_import_the_geodesic_layer():
     assert not offenders, offenders
 
 
+def test_exact_layer_never_imports_floats():
+    # b, kappa and the Gram matrix are exact rationals: the exact layer
+    # reaches neither numpy nor the float charts of geometry
+    paths = [SRC / f"{name}.py" for name in ("lie_core", "metric_builder")]
+    offenders = _imports(paths, lambda parts: parts[0] == "numpy" or "geometry" in parts)
+    assert not offenders, offenders
+
+
 def test_geometry_exports_resolve():
     import lorentz3.geometry as geometry
 
