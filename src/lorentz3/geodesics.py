@@ -12,18 +12,27 @@ Every integration uses the explicit Runge-Kutta pair of Dormand and
 Prince of order 8(5,3), DOP853 (Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., section II.10), at rtol
 1e-10 and atol 1e-12 unless the caller passes others.  :func:`solve_ivp`
-is that method written out on the six floats of a state: each stage sum
-is unrolled over the six components, and the step control is scipy's
-(its initial-step heuristic, safety 0.9, step factors between 0.2 and
-10 from the error to the power -1/8, a least step of 10 ulp of t, and
-the last step clipped to the end of the span).  It returns one record,
-:class:`GeodesicResult`, which every reader takes as it is: the accepted
-steps as Python floats, how the run ended and its work.  Every verdict
-record carries that work (``nfev``, ``nsteps``).  On a half-space chart
-a step that ends at u <= u_min is cut back to the crossing, found by
-the secant on u: every stage's u-slope is du, so u is affine along the
-Runge-Kutta solution and the secant is exact.  The boundary state is one
-step of that size from the last accepted state.
+is that method on the six floats of a state, with scipy's step control
+(its initial-step heuristic, safety 0.9, step factors between 0.2 and 10
+from the error to the power -1/8, a least step of 10 ulp of t, and the
+last step clipped to the end of the span).  Its step is one straight-line
+function generated at import from the tableau (_A, _B, _E): literal
+multiply-adds on local floats, and one call per stage of
+:func:`geodesic_rhs`, read from this module at call time.  Gamma^u = 0,
+so every stage's u-slope is du and its du-slope 0: a step sums only the
+v, x, dv and dx slopes, the sums over du are taken once per integration,
+and the sums over the du-slopes are dropped (:func:`solve_ivp` says why
+that is exact, signed zeros included).  The tests keep the loop over the
+tableau as the step's reference, bit for bit.
+
+:func:`solve_ivp` returns one record, :class:`GeodesicResult`, which
+every reader takes as it is: the accepted steps as Python floats, how
+the run ended and its work.  Every verdict record carries that work
+(``nfev``, ``nsteps``).  On a half-space chart a step that ends at
+u <= u_min is cut back to the crossing, found by the secant on u: every
+stage's u-slope is du, so u is affine along the Runge-Kutta solution and
+the secant is exact.  The boundary state is one step of that size from
+the last accepted state.
 
 Completeness verdicts are numerical *evidence*, never proofs, and the
 reports say so.  :func:`completeness_report` returns the ``geodesic
@@ -174,59 +183,97 @@ def geodesic_rhs(chart: PowerLaw | Constant, y: Sequence[float]) -> list[float]:
     return [du, dv, dx, 0.0, acc_v, acc_x]
 
 
-def _stage(y: Sequence[float], h: float, ks: list, row: tuple) -> tuple:
-    """y + h * sum_j a_j k_j over the (j, a_j) of ``row``, unrolled over the
-    six components."""
-    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for j, a in row:
-        k0, k1, k2, k3, k4, k5 = ks[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-        s4 += a * k4
-        s5 += a * k5
-    y0, y1, y2, y3, y4, y5 = y
-    return (y0 + h * s0, y1 + h * s1, y2 + h * s2, y3 + h * s3, y4 + h * s4, y5 + h * s5)
+def _hoisted_sums(du: float) -> tuple[float, ...]:
+    """The sums of a step over the u-slope, which is du at every stage since
+    Gamma^u = 0: the 11 stage sums of _A, the order-8 sum of _B and the
+    order-5 and order-3 error sums of _E, each summed as the loop over its
+    row sums it.  They are the same on every step of one integration; where
+    du is +-0.0 every one of them is 0.0."""
+    sums = []
+    for row in (*_A[1:], _B):
+        s = 0.0
+        for _, a in row:
+            s += a * du
+        sums.append(s)
+    p = q = 0.0
+    for _, e5, e3 in _E:
+        p += e5 * du
+        q += e3 * du
+    return (*sums, p, q)
 
 
-def _rk_step(chart: PowerLaw | Constant, y: Sequence[float], f: list, h: float) -> tuple[list, tuple]:
-    """The stage derivatives of one DOP853 step of size h from the state y
-    with derivative f, and the order-8 state at its end (11 evaluations)."""
-    ks = [f]
-    for row in _A[1:]:
-        ks.append(geodesic_rhs(chart, _stage(y, h, ks, row)))
-    return ks, _stage(y, h, ks, _B)
+def _sum(weights: Iterable[tuple[int, float]], slope: str) -> str:
+    """Source of the loop's sum 0.0 + w_1 k_1 + w_2 k_2 + ..., left to right,
+    over the (j, w_j) of ``weights``, where k_j is the local ``slope`` + j."""
+    return " + ".join(["0.0", *(f"{w!r} * {slope}{j}" for j, w in weights)])
 
 
-def _error_norm(ks: list, h: float, y: Sequence[float], y_new: Sequence[float], rtol: float, atol: float) -> float:
-    """scipy's DOP853 error norm: the order-5 estimate, damped by the
-    order-3 one, in the RMS norm scaled by atol + rtol max(|y|, |y_new|)."""
-    p0 = p1 = p2 = p3 = p4 = p5 = q0 = q1 = q2 = q3 = q4 = q5 = 0.0
-    for j, e5, e3 in _E:
-        k0, k1, k2, k3, k4, k5 = ks[j]
-        p0 += e5 * k0
-        p1 += e5 * k1
-        p2 += e5 * k2
-        p3 += e5 * k3
-        p4 += e5 * k4
-        p5 += e5 * k5
-        q0 += e3 * k0
-        q1 += e3 * k1
-        q2 += e3 * k2
-        q3 += e3 * k3
-        q4 += e3 * k4
-        q5 += e3 * k5
-    err5 = err3 = 0.0
-    for p, q, a, b in zip((p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5), y, y_new):
-        a, b = abs(a), abs(b)
-        scale = atol + (a if a > b else b) * rtol
-        p, q = p / scale, q / scale
-        err5 += p * p
-        err3 += q * q
-    if not err5:  # the norm is 0 then, and 0 / 0 where err3 is 0 too
-        return 0.0
-    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 6.0)
+def _step_source() -> str:
+    """Source of :func:`_dop853_step`.  The v, x, dv and dx slopes of stage j
+    are the locals kv{j}, kx{j}, kdv{j} and kdx{j}; the sums over the u-slope
+    come in ``hoisted`` (:func:`_hoisted_sums`); the du of every stage and of
+    the new state is du + h * 0.0, which is what its sum over the du-slopes,
+    all 0.0, gives."""
+
+    components = ("v", "x", "dv", "dx")
+
+    def moved(c: str, weights) -> str:
+        return f"{c} + h * ({_sum(weights, 'k' + c)})"
+
+    stages = [
+        f"    _, kv{s}, kx{s}, _, kdv{s}, kdx{s} = rhs(chart, (u + h * su{s}, {moved('v', row)}, "
+        f"{moved('x', row)}, d, {moved('dv', row)}, {moved('dx', row)}))"
+        for s, row in enumerate(_A[1:], 1)
+    ]
+    error = [
+        line
+        for c in components
+        for line in (
+            f"    a, b = abs({c}), abs({c}n)",
+            "    s = atol + (a if a > b else b) * rtol",
+            f"    p{c} = ({_sum(((j, e5) for j, e5, _ in _E), 'k' + c)}) / s",
+            f"    q{c} = ({_sum(((j, e3) for j, _, e3 in _E), 'k' + c)}) / s",
+        )
+    ]
+    return "\n".join([
+        "def dop853_step(chart, y, f, h, hoisted, rtol, atol):",
+        "    rhs = geodesic_rhs",
+        "    u, v, x, du, dv, dx = y",
+        f"    {', '.join(f'su{s}' for s in range(1, len(_A)))}, sb, pu, qu = hoisted",
+        "    d = du + h * 0.0",
+        "    _, kv0, kx0, _, kdv0, kdx0 = f",
+        *stages,
+        "    un = u + h * sb",
+        *(f"    {c}n = {moved(c, _B)}" for c in components),
+        "    y_new = (un, vn, xn, d, dvn, dxn)",
+        "    if rtol is None:",
+        "        return y_new, None",
+        "    a, b = abs(u), abs(un)",
+        "    s = atol + (a if a > b else b) * rtol",
+        "    pu, qu = pu / s, qu / s",
+        *error,
+        "    err5 = pu * pu + pv * pv + px * px + pdv * pdv + pdx * pdx",
+        "    if not err5:  # the norm is 0 then, and 0 / 0 where err3 is 0 too",
+        "        return y_new, 0.0",
+        "    err3 = qu * qu + qv * qv + qx * qx + qdv * qdv + qdx * qdx",
+        "    return y_new, abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 6.0)",
+    ])
+
+
+def _compiled_step():
+    """:func:`_step_source` compiled in this module's namespace, so that the
+    step reads ``geodesic_rhs`` from it at each call."""
+    namespace = {}
+    exec(compile(_step_source(), "<dop853 step>", "exec"), globals(), namespace)
+    return namespace["dop853_step"]
+
+
+# _dop853_step(chart, y, f, h, hoisted, rtol, atol) -> (y_new, err): one
+# DOP853 step of size h from the state y with derivative f, eleven
+# evaluations of geodesic_rhs.  y_new is the order-8 state; err is scipy's
+# error norm, the order-5 estimate damped by the order-3 one in the RMS norm
+# scaled by atol + rtol max(|y|, |y_new|), or None where rtol is None.
+_dop853_step = _compiled_step()
 
 
 def _rms(values: Iterable[float]) -> float:
@@ -296,7 +343,23 @@ def solve_ivp(
     the run stops where u reaches DEFAULT_U_MIN.  A state or initial
     derivative that is not finite, or a step size below 10 ulp of t, raises
     :class:`SolutionLeftFloatRange`; an error norm that is not finite
-    rejects the step, as in scipy, and the step shrinks fivefold."""
+    rejects the step, as in scipy, and the step shrinks fivefold.
+
+    Each step is :func:`_dop853_step`, generated at import from the tableau
+    _A, _B and _E: straight-line multiply-adds on local floats and one call
+    of geodesic_rhs per stage, eleven a step.  It sums only the v, x, dv
+    and dx slopes.  Gamma^u = 0 makes every stage's u-slope du and its
+    du-slope 0, so the sums over du (the eleven stage sums, the order-8 sum
+    and the error estimate's two u terms) are taken here, once, by
+    :func:`_hoisted_sums`; the du of every stage and of the new state is
+    du + h * 0.0, what the dropped sum over zero slopes gives; and the du
+    term of the error norm, 0 / (atol + |du| rtol), is dropped: it is 0.0
+    on every step that runs, since a zero or nan scale already stops the
+    run in :func:`_initial_step`, which divides by it.  The records
+    are bit for bit those of the loop over the tableau: a nonzero du is
+    the same at every step, where du is +-0.0 every sum over it is 0.0
+    whichever zero a stage sees, and each kept sum starts from 0.0 as the
+    loop's does, so the sign of a zero comes out the same."""
     t, t_end = t_span
     direction = 1.0 if t_end > t else -1.0
     u_min = DEFAULT_U_MIN if chart.half_space else -math.inf
@@ -304,6 +367,7 @@ def solve_ivp(
     f = geodesic_rhs(chart, y)
     if not all(map(math.isfinite, (*y, *f))):
         raise SolutionLeftFloatRange(f"the state {list(y)} has derivative {f}: the solution left float range")
+    hoisted = _hoisted_sums(y[3])
     h_abs = _initial_step(chart, y, f, abs(t_end - t), direction, rtol, atol)
     nfev = 2
     ts, ys = [t], [y]
@@ -322,9 +386,8 @@ def solve_ivp(
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            ks, y_new = _rk_step(chart, y, f, h)
+            y_new, err = _dop853_step(chart, y, f, h, hoisted, rtol, atol)
             nfev += 11
-            err = _error_norm(ks, h, y, y_new, rtol, atol)
             if err < 1.0:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)  # a nan error gives 0.2
@@ -337,7 +400,7 @@ def solve_ivp(
             # u is affine along the step, so the secant gives the crossing
             h_hit = h * (u_min - y[0]) / (y_new[0] - y[0])
             ts.append(t + h_hit)
-            ys.append(_rk_step(chart, y, f, h_hit)[1])
+            ys.append(_dop853_step(chart, y, f, h_hit, hoisted, None, None)[0])
             return GeodesicResult(ts, ys, "hit_domain_boundary", nfev + 11, ts[-1])
         f = geodesic_rhs(chart, y_new)
         nfev += 1

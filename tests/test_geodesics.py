@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -175,6 +176,83 @@ class TestIntegration:
         assert np.isfinite(res.t).all() and np.isfinite(res.y).all()
 
 
+def loop_stage(y, h, ks, row):
+    """y + h * sum_j a_j k_j over the (j, a_j) of ``row``, unrolled over the
+    six components.  With loop_rk_step and loop_error_norm it is the plain
+    loop over the tableau, the generated step's reference."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3, k4, k5 = ks[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+        s4 += a * k4
+        s5 += a * k5
+    y0, y1, y2, y3, y4, y5 = y
+    return (y0 + h * s0, y1 + h * s1, y2 + h * s2, y3 + h * s3, y4 + h * s4, y5 + h * s5)
+
+
+def loop_rk_step(chart, y, f, h):
+    """The stage derivatives of one DOP853 step of size h from the state y
+    with derivative f, and the order-8 state at its end (11 evaluations)."""
+    ks = [f]
+    for row in geo._A[1:]:
+        ks.append(geo.geodesic_rhs(chart, loop_stage(y, h, ks, row)))
+    return ks, loop_stage(y, h, ks, geo._B)
+
+
+def loop_error_norm(ks, h, y, y_new, rtol, atol):
+    """scipy's DOP853 error norm: the order-5 estimate, damped by the
+    order-3 one, in the RMS norm scaled by atol + rtol max(|y|, |y_new|)."""
+    p0 = p1 = p2 = p3 = p4 = p5 = q0 = q1 = q2 = q3 = q4 = q5 = 0.0
+    for j, e5, e3 in geo._E:
+        k0, k1, k2, k3, k4, k5 = ks[j]
+        p0 += e5 * k0
+        p1 += e5 * k1
+        p2 += e5 * k2
+        p3 += e5 * k3
+        p4 += e5 * k4
+        p5 += e5 * k5
+        q0 += e3 * k0
+        q1 += e3 * k1
+        q2 += e3 * k2
+        q3 += e3 * k3
+        q4 += e3 * k4
+        q5 += e3 * k5
+    err5 = err3 = 0.0
+    for p, q, a, b in zip((p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5), y, y_new):
+        a, b = abs(a), abs(b)
+        scale = atol + (a if a > b else b) * rtol
+        p, q = p / scale, q / scale
+        err5 += p * p
+        err3 += q * q
+    if not err5:
+        return 0.0
+    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 6.0)
+
+
+def loop_step(chart, y, f, h, hoisted, rtol, atol):
+    """The loop reference with the generated step's signature and result;
+    it sums the u and du slopes itself, so ``hoisted`` goes unread."""
+    ks, y_new = loop_rk_step(chart, y, f, h)
+    return y_new, None if rtol is None else loop_error_norm(ks, h, y, y_new, rtol, atol)
+
+
+def rhs_calls(monkeypatch, run):
+    """``run()`` and the (stage state, derivative) of each geodesic_rhs call
+    it made through the module attribute."""
+    real, calls = geo.geodesic_rhs, []
+
+    def recorded(chart, y):
+        calls.append((tuple(y), real(chart, y)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "geodesic_rhs", recorded)
+        return run(), calls
+
+
 class TestKernel:
     """The DOP853 tableau, and the integrator against scipy's DOP853."""
 
@@ -230,6 +308,75 @@ class TestKernel:
             else:
                 end = ref.y[:, -1]
                 assert np.all(np.abs(np.subtract(ours.y[-1], end)) <= 1e-12 * np.maximum(1.0, np.abs(end))), (state, span)
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize("du", [0.0, -0.0, 0.8, -1.1])
+    @pytest.mark.parametrize(
+        "chart", [PowerLaw(2.0), PowerLaw(-3.0), Constant(1.0), Constant(-1.0)], ids=str
+    )
+    def test_step_gives_the_loop_bits(self, monkeypatch, chart, du, direction):
+        # stage derivatives, order-8 state and error norm, compared by repr
+        # so that signed zeros count; x, v, dv and dx are -0.0 at times too
+        rng = random.Random(31)
+        hoisted = geo._hoisted_sums(du)
+        for _ in range(20):
+            u = rng.uniform(0.05, 3.0) if chart.half_space else rng.uniform(-3.0, 3.0)
+            v, x, dv, dx = (rng.choice((rng.uniform(-1.0, 1.0), -0.0)) for _ in range(4))
+            y = (u, v, x, du, dv, dx)
+            f = geo.geodesic_rhs(chart, y)
+            h = direction * rng.uniform(1e-3, 0.5)
+            ref, ref_calls = rhs_calls(monkeypatch, lambda: loop_step(chart, y, f, h, None, 1e-10, 1e-12))
+            got, calls = rhs_calls(monkeypatch, lambda: geo._dop853_step(chart, y, f, h, hoisted, 1e-10, 1e-12))
+            assert len(calls) == 11
+            assert repr(calls) == repr(ref_calls), y
+            assert repr(got) == repr(ref), y
+            assert repr(geo._dop853_step(chart, y, f, h, hoisted, None, None)) == repr((ref[0], None))
+
+    @pytest.mark.parametrize("chart", [PowerLaw(2.0), PowerLaw(-3.0)], ids=str)
+    @pytest.mark.parametrize("du, h", [(-1.0, 0.5), (1.0, -0.5)], ids=["forward", "backward"])
+    def test_boundary_cut_step_gives_the_loop_bits(self, chart, du, h):
+        # the step cut back to u_min by the secant on u, as solve_ivp takes it
+        y = (0.3, 0.2, -0.4, du, 0.5, 0.7)
+        f = geo.geodesic_rhs(chart, y)
+        u_new = loop_rk_step(chart, y, f, h)[1][0]
+        assert u_new <= geo.DEFAULT_U_MIN
+        h_hit = h * (geo.DEFAULT_U_MIN - y[0]) / (u_new - y[0])
+        got = geo._dop853_step(chart, y, f, h_hit, geo._hoisted_sums(du), None, None)
+        assert repr(got) == repr((loop_rk_step(chart, y, f, h_hit)[1], None))
+
+    @pytest.mark.parametrize(
+        "chart, state, span",
+        [
+            (PowerLaw(2.0), (1.0, 0.0, 0.3, -1.0, 0.5, 0.2), (0.0, 5.0)),
+            (PowerLaw(-3.0), (1.0, -0.0, 0.5, 1.0, -0.7, 0.3), (0.0, -5.0)),
+            (PowerLaw(-0.25), (1.0, 0.0, 0.3, 1.0, -0.1, 0.2), (0.0, 9.0)),
+            (PowerLaw(2.0), (1.0, 0.0, 0.0, -0.0, 1.0, 0.0), (0.0, 1e4)),
+            (Constant(1.0), (-1.0, 0.0, 0.5, 1.0, -0.7, -0.0), (0.0, 50.0)),
+            (Constant(-1.0), (0.5, 0.2, -0.0, -0.0, 1.0, 0.3), (0.0, -50.0)),
+        ],
+    )
+    def test_integration_gives_the_loop_bits(self, monkeypatch, chart, state, span):
+        # the whole record, the stage states and the evaluations included
+        got, calls = rhs_calls(monkeypatch, lambda: geo.integrate_geodesic(chart, state, span))
+        monkeypatch.setattr(geo, "_dop853_step", loop_step)
+        ref, ref_calls = rhs_calls(monkeypatch, lambda: geo.integrate_geodesic(chart, state, span))
+        assert repr(got) == repr(ref)
+        assert repr(calls) == repr(ref_calls)
+
+    @pytest.mark.parametrize(
+        "chart, state, span, terminated, nfev",
+        [
+            (PowerLaw(2.0), (1, 0, 0.3, -1, 0.5, 0.2), (0.0, 5.0), "hit_domain_boundary", 2877),
+            (Constant(1.0), (1.0, 0.0, 0.5, 1.0, -0.7, 0.3), (0.0, 50.0), "completed_span", 2546),
+            (PowerLaw(2.0), (1, 0, 0, 0, 1, 0), (0.0, 1e4), "completed_span", 110),
+        ],
+        ids=["boundary-hit", "completed-span", "dv-orbit"],
+    )
+    def test_nfev_counts_every_rhs_call(self, monkeypatch, chart, state, span, terminated, nfev):
+        # every evaluation goes through the module's geodesic_rhs, the name
+        # the mutation rows and the benchmark's counter patch
+        res, calls = rhs_calls(monkeypatch, lambda: geo.integrate_geodesic(chart, state, span))
+        assert (res.terminated, res.nfev, len(calls)) == (terminated, nfev, nfev)
 
 
 class TestWorkBound:

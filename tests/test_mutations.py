@@ -244,6 +244,8 @@ ROWS = [
      (CLOSED_FORM, CONSERVATION), COMPLETE),
     ("oscillatory-omega-scaled", geodesics, "euler_basis", _omega_scaled(1.01),
      (CLOSED_FORM,), COMPLETE),
+    ("boundary-level-moved", geodesics, "DEFAULT_U_MIN", lambda real: 1e-3,
+     ("acceptance-06-incompleteness",), COMPLETE),
 ]
 
 NAMED = {check for row in ROWS for check in row[4]}
@@ -253,7 +255,6 @@ UNROWED = {
     "acceptance-01-flatness-dichotomy",
     "acceptance-03-b-invariant-correspondence",
     "acceptance-05-killing-suite",
-    "acceptance-06-incompleteness",
     "acceptance-10-sectional-blowup",
     "lie-normalize-idempotent",
 }
