@@ -18,12 +18,15 @@ from the error to the power -1/8, a least step of 10 ulp of t, and the
 last step clipped to the end of the span).  Its step is one straight-line
 function generated at import from the tableau (_A, _B, _E): literal
 multiply-adds on local floats, and one call per stage of
-:func:`geodesic_rhs`, read from this module at call time.  Gamma^u = 0,
-so every stage's u-slope is du and its du-slope 0: a step sums only the
-v, x, dv and dx slopes, the sums over du are taken once per integration,
-and the sums over the du-slopes are dropped (:func:`solve_ivp` says why
-that is exact, signed zeros included).  The tests keep the loop over the
-tableau as the step's reference, bit for bit.
+:func:`geodesic_rhs`, read from this module at call time.  The RHS returns
+the two accelerations dv' and dx', the only slopes the geometry decides;
+the other four are the state's own du, dv and dx, and 0.0, the slope of
+du, since Gamma^u = 0.  So every stage's u-slope is du and its du-slope 0:
+a step sums the x, dv and dx slopes, and the v slopes only into the new
+state and its error; the sums over du are taken once per integration, and
+the sums over the du-slopes are dropped (:func:`solve_ivp` says why that
+is exact, signed zeros included).  The tests keep the loop over the
+tableau on all six components as the step's reference, bit for bit.
 
 :func:`solve_ivp` returns one record, :class:`GeodesicResult`, which
 every reader takes as it is: the accepted steps as Python floats, how
@@ -163,24 +166,29 @@ def velocity_norm_sq(chart: PowerLaw | Constant, state: Sequence[float]) -> floa
     return float(vel @ g @ vel)
 
 
-def geodesic_rhs(chart: PowerLaw | Constant, y: Sequence[float]) -> list[float]:
-    """Right-hand side of the first-order system (u, v, x, du, dv, dx) on a
-    Brinkmann chart, in Python float arithmetic: six floats from any
-    sequence of six.
+def geodesic_rhs(chart: PowerLaw | Constant, u: float, x: float, du: float, dx: float) -> list[float]:
+    """The accelerations [dv', dx'] of the first-order system (u, v, x, du,
+    dv, dx) on a Brinkmann chart at the state with coordinates u, x and
+    velocities du, dx, in Python float arithmetic.  They are the only slopes
+    the geometry decides: the others are du, dv, dx and 0.0 (Gamma^u = 0),
+    and the step takes them from the state itself.
 
     Where Python raises on the profile (u = 0, or u**3 out of float range)
     the profile is taken in numpy's scalar arithmetic instead, which gives
     inf, nan or 0.0 there, and the integrator sees a non-finite stage.
     """
-    u, _, x, du, dv, dx = y
     try:
         h, dh = chart.h(u), chart.dh(u)
     except (ZeroDivisionError, OverflowError):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             h, dh = float(chart.h(np.float64(u))), float(chart.dh(np.float64(u)))
-    acc_v = -0.5 * dh * x * x * du * du - 2.0 * h * x * du * dx
-    acc_x = h * x * du * du
-    return [du, dv, dx, 0.0, acc_v, acc_x]
+    return [-0.5 * dh * x * x * du * du - 2.0 * h * x * du * dx, h * x * du * du]
+
+
+def _derivative(y: Sequence[float], acc: Sequence[float]) -> list[float]:
+    """The six slopes of the first-order system at the state y, whose
+    accelerations are acc (:func:`geodesic_rhs`)."""
+    return [y[3], y[4], y[5], 0.0, *acc]
 
 
 def _hoisted_sums(du: float) -> tuple[float, ...]:
@@ -209,22 +217,30 @@ def _sum(weights: Iterable[tuple[int, float]], slope: str) -> str:
 
 
 def _step_source() -> str:
-    """Source of :func:`_dop853_step`.  The v, x, dv and dx slopes of stage j
-    are the locals kv{j}, kx{j}, kdv{j} and kdx{j}; the sums over the u-slope
-    come in ``hoisted`` (:func:`_hoisted_sums`); the du of every stage and of
-    the new state is du + h * 0.0, which is what its sum over the du-slopes,
-    all 0.0, gives."""
+    """Source of :func:`_dop853_step`.  The slopes of stage j are the locals
+    kv{j} and kx{j}, the stage's dv and dx, which are its v- and x-slopes,
+    and kdv{j} and kdx{j}, the accelerations :func:`geodesic_rhs` returns
+    there.  The RHS reads u, x, du and dx, so every stage sums the x and dx
+    slopes; the dv slopes are summed only at the stages whose v-slope _B or
+    _E weights, and the v slopes only into the new state and the error.
+    The sums over the u-slope come in ``hoisted`` (:func:`_hoisted_sums`);
+    the du of every stage and of the new state is du + h * 0.0, which is
+    what its sum over the du-slopes, all 0.0, gives."""
 
     components = ("v", "x", "dv", "dx")
+    weighted = {j for j, *_ in (*_B, *_E)}
 
     def moved(c: str, weights) -> str:
         return f"{c} + h * ({_sum(weights, 'k' + c)})"
 
-    stages = [
-        f"    _, kv{s}, kx{s}, _, kdv{s}, kdx{s} = rhs(chart, (u + h * su{s}, {moved('v', row)}, "
-        f"{moved('x', row)}, d, {moved('dv', row)}, {moved('dx', row)}))"
-        for s, row in enumerate(_A[1:], 1)
-    ]
+    stages = []
+    for s, row in enumerate(_A[1:], 1):
+        if s in weighted:
+            stages.append(f"    kv{s} = {moved('dv', row)}")
+        stages += [
+            f"    kx{s} = {moved('dx', row)}",
+            f"    kdv{s}, kdx{s} = rhs(chart, u + h * su{s}, {moved('x', row)}, d, kx{s})",
+        ]
     error = [
         line
         for c in components
@@ -236,12 +252,13 @@ def _step_source() -> str:
         )
     ]
     return "\n".join([
-        "def dop853_step(chart, y, f, h, hoisted, rtol, atol):",
+        "def dop853_step(chart, y, acc, h, hoisted, rtol, atol):",
         "    rhs = geodesic_rhs",
         "    u, v, x, du, dv, dx = y",
         f"    {', '.join(f'su{s}' for s in range(1, len(_A)))}, sb, pu, qu = hoisted",
         "    d = du + h * 0.0",
-        "    _, kv0, kx0, _, kdv0, kdx0 = f",
+        "    kv0, kx0 = dv, dx",
+        "    kdv0, kdx0 = acc",
         *stages,
         "    un = u + h * sb",
         *(f"    {c}n = {moved(c, _B)}" for c in components),
@@ -268,8 +285,8 @@ def _compiled_step():
     return namespace["dop853_step"]
 
 
-# _dop853_step(chart, y, f, h, hoisted, rtol, atol) -> (y_new, err): one
-# DOP853 step of size h from the state y with derivative f, eleven
+# _dop853_step(chart, y, acc, h, hoisted, rtol, atol) -> (y_new, err): one
+# DOP853 step of size h from the state y with accelerations acc, eleven
 # evaluations of geodesic_rhs.  y_new is the order-8 state; err is scipy's
 # error norm, the order-5 estimate damped by the order-3 one in the RMS norm
 # scaled by atol + rtol max(|y|, |y_new|), or None where rtol is None.
@@ -281,15 +298,18 @@ def _rms(values: Iterable[float]) -> float:
 
 
 def _initial_step(
-    chart: PowerLaw | Constant, y: Sequence[float], f: list, length: float, direction: float, rtol: float, atol: float
+    chart: PowerLaw | Constant, y: Sequence[float], acc: list, length: float, direction: float, rtol: float, atol: float
 ) -> float:
     """scipy's first step size for an error estimate of order 7 (Hairer,
-    Norsett & Wanner, section II.4), from one trial evaluation."""
+    Norsett & Wanner, section II.4), from one trial evaluation, on the six
+    slopes of the state y with accelerations acc."""
+    f = _derivative(y, acc)
     scale = [atol + abs(c) * rtol for c in y]
     d0 = _rms(c / s for c, s in zip(y, scale))
     d1 = _rms(c / s for c, s in zip(f, scale))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = geodesic_rhs(chart, [c + h0 * direction * k for c, k in zip(y, f)])
+    y1 = [c + h0 * direction * k for c, k in zip(y, f)]
+    f1 = _derivative(y1, geodesic_rhs(chart, y1[0], y1[2], y1[3], y1[5]))
     # where d1 is so large that h0 underflows to 0, numpy's d2 is inf or nan
     # and the step 0, which the first step raises to its least size
     d2 = _rms((b - a) / s for a, b, s in zip(f, f1, scale)) / h0 if h0 else math.inf
@@ -347,28 +367,35 @@ def solve_ivp(
 
     Each step is :func:`_dop853_step`, generated at import from the tableau
     _A, _B and _E: straight-line multiply-adds on local floats and one call
-    of geodesic_rhs per stage, eleven a step.  It sums only the v, x, dv
-    and dx slopes.  Gamma^u = 0 makes every stage's u-slope du and its
-    du-slope 0, so the sums over du (the eleven stage sums, the order-8 sum
-    and the error estimate's two u terms) are taken here, once, by
-    :func:`_hoisted_sums`; the du of every stage and of the new state is
-    du + h * 0.0, what the dropped sum over zero slopes gives; and the du
-    term of the error norm, 0 / (atol + |du| rtol), is dropped: it is 0.0
-    on every step that runs, since a zero or nan scale already stops the
-    run in :func:`_initial_step`, which divides by it.  The records
-    are bit for bit those of the loop over the tableau: a nonzero du is
-    the same at every step, where du is +-0.0 every sum over it is 0.0
-    whichever zero a stage sees, and each kept sum starts from 0.0 as the
-    loop's does, so the sign of a zero comes out the same."""
+    of geodesic_rhs per stage, eleven a step.  The RHS returns the
+    accelerations dv' and dx'; the step takes the other slopes from the
+    stage, sums the x and dx slopes at every stage and the dv slopes at
+    stages 5 to 11, whose v-slope _B and _E weight, and no stage sums v,
+    which nothing reads.  The six-component derivative is built only for the
+    initial finiteness check and :func:`_initial_step`.  Gamma^u = 0 makes
+    every stage's u-slope du and its du-slope 0, so the sums over du (the
+    eleven stage sums, the order-8 sum and the error estimate's two u terms)
+    are taken here, once, by :func:`_hoisted_sums`; the du of every stage
+    and of the new state is du + h * 0.0, what the dropped sum over zero
+    slopes gives; and the du term of the error norm, 0 / (atol + |du| rtol),
+    is dropped: it is 0.0 on every step, since atol > 0, so the scale is
+    positive (:func:`integrate_geodesic` refuses any other tolerance).  The
+    records are bit for bit those of the loop over the tableau: a nonzero du
+    is the same at every step, where du is +-0.0 every sum over it is 0.0
+    whichever zero a stage sees, each kept sum starts from 0.0 as the loop's
+    does, so the sign of a zero comes out the same, and a dropped sum is one
+    no later sum reads."""
     t, t_end = t_span
     direction = 1.0 if t_end > t else -1.0
     u_min = DEFAULT_U_MIN if chart.half_space else -math.inf
     y = tuple(y0)
-    f = geodesic_rhs(chart, y)
-    if not all(map(math.isfinite, (*y, *f))):
-        raise SolutionLeftFloatRange(f"the state {list(y)} has derivative {f}: the solution left float range")
+    acc = geodesic_rhs(chart, y[0], y[2], y[3], y[5])
+    if not all(map(math.isfinite, (*y, *acc))):
+        raise SolutionLeftFloatRange(
+            f"the state {list(y)} has derivative {_derivative(y, acc)}: the solution left float range"
+        )
     hoisted = _hoisted_sums(y[3])
-    h_abs = _initial_step(chart, y, f, abs(t_end - t), direction, rtol, atol)
+    h_abs = _initial_step(chart, y, acc, abs(t_end - t), direction, rtol, atol)
     nfev = 2
     ts, ys = [t], [y]
     while t != t_end:
@@ -386,7 +413,7 @@ def solve_ivp(
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, err = _dop853_step(chart, y, f, h, hoisted, rtol, atol)
+            y_new, err = _dop853_step(chart, y, acc, h, hoisted, rtol, atol)
             nfev += 11
             if err < 1.0:
                 break
@@ -400,9 +427,9 @@ def solve_ivp(
             # u is affine along the step, so the secant gives the crossing
             h_hit = h * (u_min - y[0]) / (y_new[0] - y[0])
             ts.append(t + h_hit)
-            ys.append(_dop853_step(chart, y, f, h_hit, hoisted, None, None)[0])
+            ys.append(_dop853_step(chart, y, acc, h_hit, hoisted, None, None)[0])
             return GeodesicResult(ts, ys, "hit_domain_boundary", nfev + 11, ts[-1])
-        f = geodesic_rhs(chart, y_new)
+        acc = geodesic_rhs(chart, y_new[0], y_new[2], y_new[3], y_new[5])
         nfev += 1
         t, y = t_new, y_new
         ts.append(t)
@@ -445,12 +472,17 @@ def integrate_geodesic(
     length raises ValueError.  ``span`` may run backwards (t1 < t0) but both
     ends must be finite and distinct.  On half-space charts the run stops
     where u reaches DEFAULT_U_MIN, and the start must lie above that
-    level.  A run whose :func:`transverse_phase` exceeds MAX_PHASE raises
+    level.  ``rtol`` and ``atol`` must be finite and greater than 0, or
+    ValueError names the one that is not.  A run whose
+    :func:`transverse_phase` exceeds MAX_PHASE raises
     :class:`TransversePhaseTooLarge` before any step; a run the solver
     cannot finish raises :class:`SolutionLeftFloatRange`.
     """
     if len(initial) != 6:
         raise ValueError(f"the initial state has {len(initial)} entries, not the six u, v, x, du, dv, dx")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name} = {tol!r}: a tolerance must be a finite float greater than 0")
     state = [float(c) for c in initial]
     if not all(math.isfinite(t) for t in span):
         raise ValueError(f"span = {tuple(span)}: both ends must be finite")

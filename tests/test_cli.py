@@ -487,6 +487,23 @@ class TestGeodesic:
             if error_type == "VelocityNormNotFinite":
                 assert "g(gamma', gamma') are finite floats" in payload["error"]["precondition"], argv
 
+    def test_initial_derivative_out_of_float_range_names_all_six_slopes(self, capsys):
+        # du^2 x overflows: the message carries the state and its whole
+        # derivative, the pass-through slopes du, dv, dx and 0.0 included
+        code, out = run_cli(capsys, "geodesic", "--b", "2", "--init", "1,0,1e300,1e10,0,0")
+        assert code == 1
+        assert out == (
+            "{\n"
+            '  "error": {\n'
+            '    "message": "the state [1.0, 0.0, 1e+300, 10000000000.0, 0.0, 0.0] has derivative '
+            '[10000000000.0, 0.0, 0.0, 0.0, nan, inf]: the solution left float range",\n'
+            '    "precondition": "the solution stays within float range until the end of the span '
+            'or until u reaches u_min",\n'
+            '    "type": "SolutionLeftFloatRange"\n'
+            "  }\n"
+            "}\n"
+        )
+
     def test_unbounded_work_is_refused_within_a_second(self, capsys):
         from lorentz3 import geodesics  # noqa: F401  (the module loads before the clock)
 

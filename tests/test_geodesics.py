@@ -40,24 +40,23 @@ class TestCausalType:
 
 
 class TestRhs:
+    # geodesic_rhs(chart, u, x, du, dx) is the accelerations [dv', dx']
     def test_symmetry_plane_is_totally_geodesic(self):
-        rhs = geo.geodesic_rhs(PowerLaw(2.0), np.array([1, 0, 0, 1, 0, 0.0]))
-        assert np.array_equal(rhs[3:], [0.0, 0.0, 0.0])
+        assert geo.geodesic_rhs(PowerLaw(2.0), 1.0, 0.0, 1.0, 0.0) == [0.0, 0.0]
 
     def test_minkowski_is_straight(self):
-        rhs = geo.geodesic_rhs(Constant(0.0), np.array([1, 2, 3, 0.4, 0.5, 0.6]))
-        assert np.array_equal(rhs[3:], [0.0, 0.0, 0.0])
+        assert geo.geodesic_rhs(Constant(0.0), 1.0, 3.0, 0.4, 0.6) == [0.0, 0.0]
 
     def test_transverse_acceleration(self):
-        rhs = geo.geodesic_rhs(PowerLaw(2.0), np.array([1, 0, 1, 1, 0, 0.0]))
-        assert rhs[5] == pytest.approx(2.0)  # x'' = H(u) x u'^2
+        acc = geo.geodesic_rhs(PowerLaw(2.0), 1.0, 1.0, 1.0, 0.0)
+        assert acc[1] == pytest.approx(2.0)  # x'' = H(u) x u'^2
 
     @staticmethod
-    def rhs_in_numpy_scalars(chart, y):
-        u, _, x, du, dv, dx = (np.float64(c) for c in y)
+    def rhs_in_numpy_scalars(chart, u, x, du, dx):
+        u, x, du, dx = (np.float64(c) for c in (u, x, du, dx))
         h = chart.h(u)
         acc_v = -0.5 * chart.dh(u) * x * x * du * du - 2.0 * h * x * du * dx
-        return np.array([du, dv, dx, 0.0, acc_v, h * x * du * du])
+        return np.array([acc_v, h * x * du * du])
 
     def test_profile_poles_give_what_numpy_gives(self):
         # Python raises where b/u^2 divides by zero and where u**3 leaves
@@ -65,13 +64,13 @@ class TestRhs:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for chart in (PowerLaw(2.0), PowerLaw(-0.5), PowerLaw(0.0), Constant(1.0)):
                 for u in (0.0, -0.0, 1e-120, 1e200, -1e200, 0.7):
-                    y = np.array([u, 0.3, 0.7, -1.2, 0.4, 0.9])
-                    rhs = geo.geodesic_rhs(chart, y)
-                    expected = self.rhs_in_numpy_scalars(chart, y)
-                    assert np.array_equal(rhs, expected, equal_nan=True), (chart, u)
-                    assert np.array_equal(np.signbit(rhs), np.signbit(expected)), (chart, u)
-            at_zero = geo.geodesic_rhs(PowerLaw(2.0), np.array([0.0, 0.3, 0.7, -1.2, 0.4, 0.9]))
-        assert not np.isfinite(at_zero[3:]).all()
+                    args = (u, 0.7, -1.2, 0.9)
+                    acc = geo.geodesic_rhs(chart, *args)
+                    assert all(type(c) is float for c in acc), (chart, u)
+                    expected = self.rhs_in_numpy_scalars(chart, *args)
+                    assert np.array_equal(acc, expected, equal_nan=True), (chart, u)
+                    assert np.array_equal(np.signbit(acc), np.signbit(expected)), (chart, u)
+        assert not np.isfinite(geo.geodesic_rhs(PowerLaw(2.0), 0.0, 0.7, -1.2, 0.9)).all()
 
 
 class TestIntegration:
@@ -133,6 +132,14 @@ class TestIntegration:
             with pytest.raises(ValueError, match=f"has {len(bad)} entries, not the six"):
                 geo.integrate_geodesic(chart, bad, (0.0, 5.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    def test_tolerances_must_be_finite_and_positive(self, name, tol):
+        # atol = 0.0 once divided by zero at the zero v; rtol = -1.0 once
+        # ran to a verdict
+        with pytest.raises(ValueError, match=f"^{name} = {tol!r}: a tolerance must be a finite float greater than 0$"):
+            geo.integrate_geodesic(PowerLaw(2.0), (1.0, 0.0, 0.3, -1.0, 0.5, 0.2), (0.0, 5.0), **{name: tol})
+
     def test_initial_point_must_be_in_domain(self):
         with pytest.raises(DomainError):
             geo.integrate_geodesic(
@@ -193,12 +200,24 @@ def loop_stage(y, h, ks, row):
     return (y0 + h * s0, y1 + h * s1, y2 + h * s2, y3 + h * s3, y4 + h * s4, y5 + h * s5)
 
 
+def slopes(y, acc):
+    """The six slopes of the first-order system at the state y whose
+    accelerations are acc: du, dv, dx, 0.0 (Gamma^u = 0), then acc."""
+    return (y[3], y[4], y[5], 0.0, *acc)
+
+
+def derivative(chart, y):
+    """The six slopes at y, from one geodesic_rhs call on what it reads."""
+    return slopes(y, geo.geodesic_rhs(chart, y[0], y[2], y[3], y[5]))
+
+
 def loop_rk_step(chart, y, f, h):
     """The stage derivatives of one DOP853 step of size h from the state y
-    with derivative f, and the order-8 state at its end (11 evaluations)."""
+    with derivative f (six slopes), and the order-8 state at its end (11
+    evaluations)."""
     ks = [f]
     for row in geo._A[1:]:
-        ks.append(geo.geodesic_rhs(chart, loop_stage(y, h, ks, row)))
+        ks.append(derivative(chart, loop_stage(y, h, ks, row)))
     return ks, loop_stage(y, h, ks, geo._B)
 
 
@@ -232,20 +251,20 @@ def loop_error_norm(ks, h, y, y_new, rtol, atol):
     return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 6.0)
 
 
-def loop_step(chart, y, f, h, hoisted, rtol, atol):
+def loop_step(chart, y, acc, h, hoisted, rtol, atol):
     """The loop reference with the generated step's signature and result;
-    it sums the u and du slopes itself, so ``hoisted`` goes unread."""
-    ks, y_new = loop_rk_step(chart, y, f, h)
+    it sums all six slopes itself, so ``hoisted`` goes unread."""
+    ks, y_new = loop_rk_step(chart, y, slopes(y, acc), h)
     return y_new, None if rtol is None else loop_error_norm(ks, h, y, y_new, rtol, atol)
 
 
 def rhs_calls(monkeypatch, run):
-    """``run()`` and the (stage state, derivative) of each geodesic_rhs call
-    it made through the module attribute."""
+    """``run()`` and the ((u, x, du, dx), accelerations) of each
+    geodesic_rhs call it made through the module attribute."""
     real, calls = geo.geodesic_rhs, []
 
-    def recorded(chart, y):
-        calls.append((tuple(y), real(chart, y)))
+    def recorded(chart, *args):
+        calls.append((args, real(chart, *args)))
         return calls[-1][1]
 
     with monkeypatch.context() as patch:
@@ -293,7 +312,7 @@ class TestKernel:
         boundary.terminal = True
         for (_, state, span), ours in runs:
             ref = integrate.solve_ivp(
-                lambda t, y: geo.geodesic_rhs(chart, y.tolist()),
+                lambda t, y: derivative(chart, y.tolist()),
                 span,
                 state,
                 method="DOP853",
@@ -323,25 +342,25 @@ class TestKernel:
             u = rng.uniform(0.05, 3.0) if chart.half_space else rng.uniform(-3.0, 3.0)
             v, x, dv, dx = (rng.choice((rng.uniform(-1.0, 1.0), -0.0)) for _ in range(4))
             y = (u, v, x, du, dv, dx)
-            f = geo.geodesic_rhs(chart, y)
+            acc = geo.geodesic_rhs(chart, u, x, du, dx)
             h = direction * rng.uniform(1e-3, 0.5)
-            ref, ref_calls = rhs_calls(monkeypatch, lambda: loop_step(chart, y, f, h, None, 1e-10, 1e-12))
-            got, calls = rhs_calls(monkeypatch, lambda: geo._dop853_step(chart, y, f, h, hoisted, 1e-10, 1e-12))
+            ref, ref_calls = rhs_calls(monkeypatch, lambda: loop_step(chart, y, acc, h, None, 1e-10, 1e-12))
+            got, calls = rhs_calls(monkeypatch, lambda: geo._dop853_step(chart, y, acc, h, hoisted, 1e-10, 1e-12))
             assert len(calls) == 11
             assert repr(calls) == repr(ref_calls), y
             assert repr(got) == repr(ref), y
-            assert repr(geo._dop853_step(chart, y, f, h, hoisted, None, None)) == repr((ref[0], None))
+            assert repr(geo._dop853_step(chart, y, acc, h, hoisted, None, None)) == repr((ref[0], None))
 
     @pytest.mark.parametrize("chart", [PowerLaw(2.0), PowerLaw(-3.0)], ids=str)
     @pytest.mark.parametrize("du, h", [(-1.0, 0.5), (1.0, -0.5)], ids=["forward", "backward"])
     def test_boundary_cut_step_gives_the_loop_bits(self, chart, du, h):
         # the step cut back to u_min by the secant on u, as solve_ivp takes it
         y = (0.3, 0.2, -0.4, du, 0.5, 0.7)
-        f = geo.geodesic_rhs(chart, y)
+        f = derivative(chart, y)
         u_new = loop_rk_step(chart, y, f, h)[1][0]
         assert u_new <= geo.DEFAULT_U_MIN
         h_hit = h * (geo.DEFAULT_U_MIN - y[0]) / (u_new - y[0])
-        got = geo._dop853_step(chart, y, f, h_hit, geo._hoisted_sums(du), None, None)
+        got = geo._dop853_step(chart, y, f[4:], h_hit, geo._hoisted_sums(du), None, None)
         assert repr(got) == repr((loop_rk_step(chart, y, f, h_hit)[1], None))
 
     @pytest.mark.parametrize(

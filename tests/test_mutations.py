@@ -127,35 +127,30 @@ def _uvuv_added(r, *_):
     r[..., U, V, V, U] = r[..., V, U, U, V] = -r[..., U, Xc, U, Xc]
 
 
-def _x_acceleration_flipped(out, chart, y):
-    out[5] = -out[5]
+def _x_acceleration_flipped(out, chart, u, x, du, dx):
+    out[1] = -out[1]
 
 
-def _cross_term_dropped(out, chart, y):
-    u, _, x, du, _, dx = y
-    out[4] += 2.0 * chart.h(u) * x * du * dx
+def _cross_term_dropped(out, chart, u, x, du, dx):
+    out[0] += 2.0 * chart.h(u) * x * du * dx
 
 
-def _x_acceleration_du_once(out, chart, y):
-    u, _, x, du, _, _ = y
-    out[5] = chart.h(u) * x * du
+def _x_acceleration_du_once(out, chart, u, x, du, dx):
+    out[1] = chart.h(u) * x * du
 
 
-def _v_acceleration_du_cubed(out, chart, y):
+def _v_acceleration_du_cubed(out, chart, u, x, du, dx):
     # -dh x^2 du^3 / 2 in place of -dh x^2 du^2 / 2
-    u, _, x, du, _, _ = y
-    out[4] += 0.5 * chart.dh(u) * x * x * du * du * (1.0 - du)
+    out[0] += 0.5 * chart.dh(u) * x * x * du * du * (1.0 - du)
 
 
-def _v_acceleration_offset(out, chart, y):
-    _, _, x, du, _, _ = y
-    out[4] += 1e-3 * x * du
+def _v_acceleration_offset(out, chart, u, x, du, dx):
+    out[0] += 1e-3 * x * du
 
 
-def _cross_term_du_squared(out, chart, y):
+def _cross_term_du_squared(out, chart, u, x, du, dx):
     # -2 h x du^2 dx in place of -2 h x du dx
-    u, _, x, du, _, dx = y
-    out[4] += 2.0 * chart.h(u) * x * du * dx * (1.0 - du)
+    out[0] += 2.0 * chart.h(u) * x * du * dx * (1.0 - du)
 
 
 def _loose_tolerances(real):
